@@ -262,6 +262,58 @@ let packed_line p =
             r.Machine.Packed.peak_frames verdict store
             (cert_cell r.Machine.Packed.diagnosis))
 
+(* Cycle-exact multiprocessor lines: every simulated counter the
+   reference multiprocessor reports, at configurations that exercise
+   topologies, hierarchical placement, LIFO scheduling and work stealing
+   (default and eager specs) up to p=256.  Any change to the engine's
+   per-cycle bookkeeping that moves a single cycle shows up here. *)
+let eager_steal = { Sched.Steal.hysteresis = 1; min_victim = 1 }
+
+let cycle_configs =
+  let lifo = { Machine.Config.default with policy = Machine.Config.Lifo } in
+  let open Sched.Topology in
+  [
+    ( "p=64 mesh/hier+steal",
+      64, Machine.Config.default, Some Mesh, Machine.Placement.Hier,
+      Some Sched.Steal.default );
+    ( "p=256 torus/hash+steal",
+      256, Machine.Config.default, Some Torus, Machine.Placement.Hash,
+      Some eager_steal );
+    ("p=8 cube/affinity", 8, Machine.Config.default, Some Cube,
+     Machine.Placement.Affinity, None);
+    ("p=4 lifo/affinity+steal", 4, lifo, None, Machine.Placement.Affinity,
+     Some Sched.Steal.default);
+  ]
+
+let cycle_line p (label, pes, config, kind, placement, steal) =
+  match Dflow.Driver.compile (Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined) p with
+  | exception (Cfg.Intervals.Irreducible _ | Dflow.Driver.Aliasing_unsupported _)
+    ->
+      Fmt.str "cycles %-24s not-compilable" label
+  | c -> (
+      let prog =
+        {
+          Machine.Interp.graph = c.Dflow.Driver.graph;
+          layout = c.Dflow.Driver.layout;
+        }
+      in
+      let topo = Option.map (fun k -> Sched.Topology.make k ~pes) kind in
+      match
+        Machine.Multiproc.run ~config ?topo ?steal ~tree:c.Dflow.Driver.ltree
+          ~placement ~pes prog
+      with
+      | exception e ->
+          Fmt.str "cycles %-24s raised %s" label (Printexc.to_string e)
+      | Error _ -> Fmt.str "cycles %-24s failed" label
+      | Ok r ->
+          let module M = Machine.Multiproc in
+          Fmt.str
+            "cycles %-24s cycles=%d firings=%d steals=%d hops=%d \
+             mem_remote=%d peak_matching=%d busy=%d"
+            label r.M.cycles r.M.firings r.M.steals r.M.net_hops
+            r.M.mem_remote r.M.peak_matching
+            (Array.fold_left ( + ) 0 r.M.per_pe_busy))
+
 let snapshot name path =
   let p = Imp.Parser.program_of_string (read_file path) in
   let lines =
@@ -270,6 +322,7 @@ let snapshot name path =
         (fun placement -> multiproc_line placement p)
         [ Machine.Placement.Hash; Machine.Placement.Affinity ]
     @ [ recovery_line p; packed_line p ]
+    @ List.map (cycle_line p) cycle_configs
   in
   Fmt.str "# %s.imp — static counts and machine verdict per schema@.%s@."
     name
