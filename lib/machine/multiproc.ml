@@ -23,7 +23,6 @@ type result = {
   per_pe_firings : int array;
   per_pe_busy : int array;
   utilisation : float array;
-  per_pe_curve : int array array;
   local_deliveries : int;
   net_messages : int;
   cut_traffic : float;
@@ -33,7 +32,6 @@ type result = {
   peak_queue : int;
   net_hops : int;
   steals : int;
-  net_occupancy : int array;
   placement : Placement.t;
   placement_stats : Placement.stats;
   transport : Network.rt_stats option;
@@ -106,6 +104,10 @@ let run ?(config = Config.default) ?(net = Network.default)
     ?(faults : Fault.plan option) ?(recovery : Recovery.spec option) ~pes
     (p : Interp.program) : (result, Diagnosis.t) Stdlib.result =
   if pes < 1 then invalid_arg "Multiproc.run: pes must be >= 1";
+  (match steal with
+  | Some s when s.Sched.Steal.min_victim < 1 ->
+      invalid_arg "Multiproc.run: steal min_victim must be >= 1"
+  | _ -> ());
   match (config.Config.engine, faults, recovery, topo, steal) with
   | Config.Packed, None, None, None, None ->
       (* the compiled token store with the idealised interconnect: every
@@ -150,7 +152,6 @@ let run ?(config = Config.default) ?(net = Network.default)
               per_pe_firings = r.Packed.per_pe_firings;
               per_pe_busy = r.Packed.per_pe_busy;
               utilisation;
-              per_pe_curve = Array.make pes [||];
               local_deliveries = r.Packed.local_deliveries;
               net_messages = r.Packed.net_messages;
               cut_traffic =
@@ -166,7 +167,6 @@ let run ?(config = Config.default) ?(net = Network.default)
               peak_queue = 0;
               net_hops = r.Packed.net_messages;
               steals = 0;
-              net_occupancy = [||];
               placement = place;
               placement_stats = Placement.stats g place;
               transport = None;
@@ -249,16 +249,20 @@ let run ?(config = Config.default) ?(net = Network.default)
   let memory_ops = ref 0 in
   let per_pe_firings = Array.make pcount 0 in
   let per_pe_busy = Array.make pcount 0 in
-  let per_pe_curve = Array.make pcount [] in
   let local_deliveries = ref 0 in
   let mem_local = ref 0 in
   let mem_remote = ref 0 in
   let steals = ref 0 in
-  (* consecutive cycles each PE has sat with an empty ready queue —
-     the stealing hysteresis clock *)
-  let idle_ctr = Array.make pcount 0 in
+  (* the stealing hysteresis clock: the last cycle each PE held ready
+     work (or stole), so it has sat idle for [t - last_busy] cycles *)
+  let last_busy = Array.make pcount (-1) in
+  (* PEs that may hold ready firings: every PE with ready work is a
+     member, and after an issue phase only those; only these are
+     visited *)
+  let active = Pe_set.create pcount in
+  (* matching-store entries summed over PEs *)
+  let waiting = ref 0 in
   let peak_matching = ref 0 in
-  let net_occupancy = ref [] in
   let completed = ref false in
   let last_cycle = ref 0 in
   let t = ref 0 in
@@ -369,15 +373,19 @@ let run ?(config = Config.default) ?(net = Network.default)
             x_inputs = [| d.m_value |];
             x_bags = [ d.m_bag ];
           }
-          ready.(pe)
+          ready.(pe);
+        Pe_set.add active pe
     | _ -> (
-        match
+        let before = Matching.entries wait.(pe) in
+        let outcome =
           Matching.deliver ~kind
             ~detect_collisions:config.Config.detect_collisions
             ~pad:(Firing.dummy_value, Permission.empty_bag)
             wait.(pe) ~node:d.m_node ~ctx:d.m_ctx ~port:d.m_port
             (d.m_value, d.m_bag)
-        with
+        in
+        waiting := !waiting + Matching.entries wait.(pe) - before;
+        match outcome with
         | Matching.Collision ->
             abort
               (Diagnosis.Collision
@@ -394,7 +402,8 @@ let run ?(config = Config.default) ?(net = Network.default)
                 x_inputs = Array.map fst slots;
                 x_bags = Array.to_list (Array.map snd slots);
               }
-              ready.(pe))
+              ready.(pe);
+            Pe_set.add active pe)
   in
   (* Can a sanitizer violation be rolled back right now? *)
   let can_roll_back () =
@@ -591,6 +600,7 @@ let run ?(config = Config.default) ?(net = Network.default)
               (Array.copy arr))
           store)
       sp.sp_wait;
+    waiting := Array.fold_left (fun a w -> a + Matching.entries w) 0 wait;
     let requeue (f : firing) =
       Queue.add f ready.((!place).Placement.assign.(f.x_node))
     in
@@ -603,6 +613,10 @@ let run ?(config = Config.default) ?(net = Network.default)
         Stack.iter (fun f -> l := f :: !l) s;
         List.iter requeue !l)
       sp.sp_lifo;
+    Pe_set.retain active (fun _ -> false);
+    Array.iteri
+      (fun pe q -> if not (Queue.is_empty q) then Pe_set.add active pe)
+      ready;
     (* pending schedules, rebased onto the resume cycle *)
     Hashtbl.reset locals;
     Hashtbl.iter
@@ -645,7 +659,7 @@ let run ?(config = Config.default) ?(net = Network.default)
     | Some p, Some snap -> Permission.restore p snap
     | _ -> ());
     t := resume;
-    Array.fill idle_ctr 0 pcount 0;
+    Array.fill last_busy 0 pcount (resume - 1);
     if resume > !last_cycle then last_cycle := resume
   in
   (* boot: fire Start on its home PE at cycle 0; Start mints the full
@@ -658,6 +672,7 @@ let run ?(config = Config.default) ?(net = Network.default)
       x_bags = (match perm with Some p -> [ Permission.mint p ] | None -> []);
     }
     ready.((!place).Placement.assign.(g.Dfg.Graph.start));
+  Pe_set.add active (!place).Placement.assign.(g.Dfg.Graph.start);
   (* epoch 0: with recovery enabled even a death before the first
      periodic checkpoint replays from the boot state *)
   let next_checkpoint =
@@ -689,11 +704,31 @@ let run ?(config = Config.default) ?(net = Network.default)
     | Config.Lifo -> Stack.length lifo.(pe)
   in
   let all_idle () =
-    let idle = ref true in
-    for pe = 0 to pcount - 1 do
-      if ready_length pe > 0 then idle := false
-    done;
-    !idle && !local_pending = 0 && !inject_pending = 0 && net_pending () = 0
+    Pe_set.is_empty active && !local_pending = 0 && !inject_pending = 0
+    && net_pending () = 0
+  in
+  (* the victim's last-to-run: bottom of its stack (else front of its
+     feed queue, which absorb reverses) under Lifo; back of its FIFO
+     under Fifo.  A victim always holds at least one ready firing. *)
+  let take_last v =
+    if not (Stack.is_empty lifo.(v)) then begin
+      let bottom_first = Stack.fold (fun acc f -> f :: acc) [] lifo.(v) in
+      Stack.clear lifo.(v);
+      List.iter (fun f -> Stack.push f lifo.(v)) (List.tl bottom_first);
+      List.hd bottom_first
+    end
+    else if config.Config.policy = Config.Lifo then Queue.pop ready.(v)
+    else begin
+      for _ = 2 to Queue.length ready.(v) do
+        Queue.add (Queue.pop ready.(v)) ready.(v)
+      done;
+      Queue.pop ready.(v)
+    end
+  in
+  let steal_topo =
+    match topo with
+    | Some tp -> tp
+    | None -> Sched.Topology.make Sched.Topology.Uniform ~pes:pcount
   in
   (* one scheduled fail-stop, if due this cycle: mark the PE dead, remap
      its nodes over the survivors, and report that a restore is needed *)
@@ -750,97 +785,56 @@ let run ?(config = Config.default) ?(net = Network.default)
                Only ready (fully matched) firings move — tokens are
                location-independent, so the theft changes where and when
                the firing executes, never what it computes; the final
-               store is the determinacy grid's invariant. *)
+               store is the determinacy grid's invariant.  Thieves go in
+               ascending PE order, searching only the live PEs that hold
+               at least [min_victim] ready firings; once none is left the
+               scan stops and only busy PEs' clocks move. *)
             (match steal with
-            | Some spec ->
-                for pe = 0 to pcount - 1 do
-                  if alive.(pe) then
-                    if ready_length pe > 0 then idle_ctr.(pe) <- 0
-                    else begin
-                      idle_ctr.(pe) <- idle_ctr.(pe) + 1;
-                      if idle_ctr.(pe) >= spec.Sched.Steal.hysteresis then
-                        let tp =
-                          match topo with
-                          | Some tp -> tp
-                          | None ->
-                              Sched.Topology.make Sched.Topology.Uniform
-                                ~pes:pcount
-                        in
-                        match
-                          Sched.Steal.victim tp spec ~thief:pe
-                            ~queue_len:(fun v ->
-                              if alive.(v) then ready_length v else 0)
-                        with
-                        | None -> ()
-                        | Some v ->
-                            (* the victim's last-to-run: back of its FIFO
-                               under Fifo; bottom of its stack (else front
-                               of its feed queue, which absorb reverses)
-                               under Lifo *)
-                            let stolen =
-                              if Stack.length lifo.(v) > 0 then begin
-                                let l = ref [] in
-                                Stack.iter (fun f -> l := f :: !l) lifo.(v);
-                                match !l with
-                                | bottom :: rest ->
-                                    Stack.clear lifo.(v);
-                                    List.iter
-                                      (fun f -> Stack.push f lifo.(v))
-                                      rest;
-                                    Some bottom
-                                | [] -> None
-                              end
-                              else
-                                match config.Config.policy with
-                                | Config.Lifo when Queue.length ready.(v) > 0
-                                  ->
-                                    Some (Queue.pop ready.(v))
-                                | _ ->
-                                    let n = Queue.length ready.(v) in
-                                    if n = 0 then None
-                                    else begin
-                                      let last = ref None in
-                                      for _ = 1 to n do
-                                        let f = Queue.pop ready.(v) in
-                                        (match !last with
-                                        | Some prev -> Queue.add prev ready.(v)
-                                        | None -> ());
-                                        last := Some f
-                                      done;
-                                      !last
-                                    end
-                            in
-                            (match stolen with
-                            | Some f ->
-                                Queue.add f ready.(pe);
-                                incr steals;
-                                idle_ctr.(pe) <- 0
-                            | None -> ())
-                    end
-                done
-            | None -> ());
-            (* 4. every live PE issues up to [issue_width] enabled firings *)
-            for pe = 0 to pcount - 1 do
-              if alive.(pe) then begin
-                absorb_ready pe;
-                let budget = min issue_width (ready_length pe) in
-                for _ = 1 to budget do
-                  execute pe (pop_next pe)
+            | Some { Sched.Steal.hysteresis; min_victim } ->
+                let victims = ref [] in
+                Pe_set.iter active (fun v ->
+                    if alive.(v) && ready_length v >= min_victim then
+                      victims := v :: !victims);
+                let pe = ref 0 in
+                while !victims <> [] && !pe < pcount do
+                  let thief = !pe in
+                  (if alive.(thief) then
+                     if ready_length thief > 0 then last_busy.(thief) <- !t
+                     else if !t - last_busy.(thief) >= hysteresis then
+                       match Sched.Steal.nearest steal_topo ~thief !victims with
+                       | None -> ()
+                       | Some v ->
+                           Queue.add (take_last v) ready.(thief);
+                           Pe_set.add active thief;
+                           incr steals;
+                           last_busy.(thief) <- !t;
+                           if ready_length v < min_victim then
+                             victims := List.filter (( <> ) v) !victims;
+                           if 1 >= min_victim then victims := thief :: !victims);
+                  incr pe
                 done;
-                per_pe_curve.(pe) <- budget :: per_pe_curve.(pe);
-                if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1
-              end
-              else per_pe_curve.(pe) <- 0 :: per_pe_curve.(pe)
-            done;
+                (* the PEs the scan did not reach: busy ones reset their
+                   clock, idle ones age by this cycle implicitly *)
+                Pe_set.iter active (fun q ->
+                    if q >= !pe && alive.(q) && ready_length q > 0 then
+                      last_busy.(q) <- !t)
+            | None -> ());
+            (* 4. every live PE holding ready work issues up to
+               [issue_width] enabled firings, in ascending PE order *)
+            Pe_set.iter active (fun pe ->
+                if alive.(pe) then begin
+                  absorb_ready pe;
+                  let budget = min issue_width (ready_length pe) in
+                  for _ = 1 to budget do
+                    execute pe (pop_next pe)
+                  done;
+                  if budget > 0 then per_pe_busy.(pe) <- per_pe_busy.(pe) + 1
+                end);
+            Pe_set.retain active (fun pe -> ready_length pe > 0);
             (* 5. the interconnect moves bandwidth-limited messages into
                flight (plus retransmits and held frames under faults) *)
             net_step ();
-            (* end-of-cycle sampling *)
-            net_occupancy := net_pending () :: !net_occupancy;
-            let waiting =
-              Array.fold_left (fun a w -> a + Matching.entries w) 0 wait
-            in
-            if waiting > !peak_matching then peak_matching := waiting;
+            if !waiting > !peak_matching then peak_matching := !waiting;
             (* epoch checkpoint *)
             (match recovery with
             | Some rs when !t >= !next_checkpoint ->
@@ -931,8 +925,6 @@ let run ?(config = Config.default) ?(net = Network.default)
           Array.map
             (fun b -> float_of_int b /. float_of_int (max 1 total_cycles))
             per_pe_busy;
-        per_pe_curve =
-          Array.map (fun c -> Array.of_list (List.rev c)) per_pe_curve;
         local_deliveries = !local_deliveries;
         net_messages = payloads;
         cut_traffic =
@@ -946,7 +938,6 @@ let run ?(config = Config.default) ?(net = Network.default)
         peak_queue = st.Network.s_peak_queue;
         net_hops = st.Network.s_hops;
         steals = !steals;
-        net_occupancy = Array.of_list (List.rev !net_occupancy);
         placement = !place;
         placement_stats = Placement.stats g !place;
         transport = Option.map Network.rt_stats !rt;

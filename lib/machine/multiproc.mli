@@ -24,6 +24,17 @@
     stay ordered — the property the differential suite checks against
     the reference interpreter and the single-PE machine.
 
+    {b Cost of simulation.}  Host work per simulated cycle is
+    proportional to the PEs holding ready firings plus the messages
+    being delivered, queued or launched — not to [pes].  The machine
+    keeps the set of PEs with ready work (visited in ascending PE order,
+    as a full scan would), running counts of matching-store entries and
+    queued messages, and for work stealing a last-busy cycle per PE: a
+    victim search looks only at PEs holding at least [min_victim] ready
+    firings, and the thief scan stops once none is left.  Idle PEs cost
+    nothing, so a p=256 machine that is mostly idle simulates about as
+    fast as a small one.
+
     Of {!Config.t} the multiprocessor honours [latencies], [policy],
     [max_cycles] and [detect_collisions]; [pes], [memory_ports] and
     [max_matching] are single-machine notions superseded by [~pes],
@@ -60,7 +71,6 @@ type result = {
   per_pe_firings : int array;
   per_pe_busy : int array;  (** cycles in which the PE issued a firing *)
   utilisation : float array;  (** per PE, busy cycles / total cycles *)
-  per_pe_curve : int array array;  (** firings started per cycle, per PE *)
   local_deliveries : int;  (** tokens that bypassed the network *)
   net_messages : int;  (** tokens that crossed between PEs *)
   cut_traffic : float;
@@ -74,8 +84,6 @@ type result = {
       (** total links crossed by network messages; equals the message
           count on the uniform wire, more under a topology *)
   steals : int;  (** ready firings moved by work stealing *)
-  net_occupancy : int array;
-      (** per cycle, messages queued + in flight at end of cycle *)
   placement : Placement.t;
       (** the placement in force at the end — remapped if a PE died *)
   placement_stats : Placement.stats;
@@ -101,7 +109,9 @@ type result = {
     [?steal] turns on deterministic work stealing of ready firings
     ({!Sched.Steal}): timing and traffic change, the final store never
     does — stolen firings emit from the thief, rendezvous stays at the
-    consumer's placed PE. *)
+    consumer's placed PE.
+    @raise Invalid_argument when [pes < 1] or a steal spec's
+    [min_victim < 1]. *)
 val run :
   ?config:Config.t ->
   ?net:Network.config ->

@@ -23,8 +23,10 @@ type 'msg t = {
       (** links crossed src -> dst; the constant 1 reproduces the seed's
           uniform-latency wire bit for bit *)
   queues : (int * 'msg) Queue.t array;  (** per-PE: (dst, msg) *)
+  srcs : Pe_set.t;  (** PEs with a non-empty injection queue *)
   flight : (int, (int * 'msg) list) Hashtbl.t;
       (** arrival cycle -> reversed (dst, msg) list *)
+  mutable queued : int;
   mutable flying : int;
   mutable messages : int;
   mutable hop_sum : int;
@@ -38,7 +40,9 @@ let create ?(config = default) ?(hops = fun _ _ -> 1) ~pes () =
     cfg = config;
     hops;
     queues = Array.init (max 1 pes) (fun _ -> Queue.create ());
+    srcs = Pe_set.create (max 1 pes);
     flight = Hashtbl.create 64;
+    queued = 0;
     flying = 0;
     messages = 0;
     hop_sum = 0;
@@ -47,8 +51,7 @@ let create ?(config = default) ?(hops = fun _ _ -> 1) ~pes () =
     peak_in_flight = 0;
   }
 
-let queued t = Array.fold_left (fun a q -> a + Queue.length q) 0 t.queues
-let in_transit t = t.flying + queued t
+let in_transit t = t.flying + t.queued
 
 let note_peaks t =
   let it = in_transit t in
@@ -61,14 +64,18 @@ let inject t ~src ~dst msg =
       t.backpressure <- t.backpressure + 1
   | _ -> ());
   Queue.add (dst, msg) t.queues.(src);
+  Pe_set.add t.srcs src;
+  t.queued <- t.queued + 1;
   t.messages <- t.messages + 1;
   let ql = Queue.length t.queues.(src) in
   if ql > t.peak_queue then t.peak_queue <- ql;
   note_peaks t
 
+(* Only non-empty queues are visited, in ascending source order — the
+   order in which messages enter flight, hence every arrival list. *)
 let step t ~now =
-  Array.iteri
-    (fun src q ->
+  Pe_set.iter t.srcs (fun src ->
+      let q = t.queues.(src) in
       let budget = min t.cfg.bandwidth (Queue.length q) in
       for _ = 1 to budget do
         let (dst, _) as m = Queue.pop q in
@@ -82,8 +89,9 @@ let step t ~now =
         Hashtbl.replace t.flight at
           (m :: (try Hashtbl.find t.flight at with Not_found -> []));
         t.flying <- t.flying + 1
-      done)
-    t.queues;
+      done;
+      t.queued <- t.queued - budget);
+  Pe_set.retain t.srcs (fun src -> not (Queue.is_empty t.queues.(src)));
   note_peaks t
 
 let arrivals t ~now =

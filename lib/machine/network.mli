@@ -60,14 +60,16 @@ val inject : 'msg t -> src:int -> dst:int -> 'msg -> unit
 
 (** [step t ~now] — end-of-cycle transport: each PE moves up to
     [bandwidth] queued messages into flight, arriving at
-    [now + latency + hops - 1]. *)
+    [now + latency + hops - 1].  Costs work in proportion to the PEs
+    with queued messages, not to the PE count. *)
 val step : 'msg t -> now:int -> unit
 
 (** [arrivals t ~now] — messages arriving this cycle, as (dst, msg) in
     deterministic injection order; removes them from the network. *)
 val arrivals : 'msg t -> now:int -> (int * 'msg) list
 
-(** Messages currently queued or in flight (0 = network quiescent). *)
+(** Messages currently queued or in flight (0 = network quiescent);
+    a running count, O(1). *)
 val in_transit : 'msg t -> int
 
 type stats = {

@@ -51,12 +51,20 @@ let roots (g : Dfg.Graph.t) : int array =
           | Some r -> union r node.Dfg.Node.id
           | None -> Hashtbl.add var_rep var node.Dfg.Node.id)
       | _ -> ());
-  (* expression trees and their consuming memory ops *)
+  (* expression trees and their consuming memory ops; the same pass
+     notes, for the rule below, which nodes feed data and each node's
+     first non-terminal producer in arc-array order *)
+  let feeds_data = Array.make n false in
+  let producer = Array.make n (-1) in
   Array.iter
     (fun (a : Dfg.Graph.arc) ->
       let s = a.Dfg.Graph.src.Dfg.Graph.node
       and d = a.Dfg.Graph.dst.Dfg.Graph.node in
-      if is_expr s && (is_expr d || is_mem d) then union s d)
+      if is_expr d || is_mem d then begin
+        feeds_data.(s) <- true;
+        if is_expr s then union s d
+      end;
+      if producer.(d) < 0 && not (is_terminal s) then producer.(d) <- s)
     g.Dfg.Graph.arcs;
   (* An expression consumed only by control nodes — a loop predicate
      feeding switch gates, an index feeding a gateway — joins the
@@ -66,30 +74,8 @@ let roots (g : Dfg.Graph.t) : int array =
      the one latency pipelining cannot hide. *)
   Dfg.Graph.iter_nodes g (fun node ->
       let i = node.Dfg.Node.id in
-      if is_expr i then
-        let feeds_data =
-          Array.exists
-            (fun (a : Dfg.Graph.arc) ->
-              a.Dfg.Graph.src.Dfg.Graph.node = i
-              &&
-              let d = a.Dfg.Graph.dst.Dfg.Graph.node in
-              is_expr d || is_mem d)
-            g.Dfg.Graph.arcs
-        in
-        if not feeds_data then
-          let producer =
-            Array.fold_left
-              (fun acc (a : Dfg.Graph.arc) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if a.Dfg.Graph.dst.Dfg.Graph.node = i then
-                      let s = a.Dfg.Graph.src.Dfg.Graph.node in
-                      if is_terminal s then None else Some s
-                    else None)
-              None g.Dfg.Graph.arcs
-          in
-          match producer with Some s -> union i s | None -> ());
+      if is_expr i && (not feeds_data.(i)) && producer.(i) >= 0 then
+        union i producer.(i));
   (* control nodes attach to one side of their variable's chain *)
   let first_in i port =
     match Dfg.Graph.incoming g i port with

@@ -12,8 +12,9 @@ type t = {
   stats : level_stats;
 }
 
-(* top-level ancestor in the loop-nesting forest *)
-let top_ancestor tree lid =
+(* top-level ancestor in the loop-nesting forest; the parent table is
+   built once per placement, not once per lookup *)
+let top_ancestor tree =
   let parent = Hashtbl.create 8 in
   List.iter (fun (id, p) -> Hashtbl.replace parent id p) tree;
   let rec up id seen =
@@ -23,7 +24,7 @@ let top_ancestor tree lid =
       | Some (Some p) -> up p (id :: seen)
       | _ -> id
   in
-  up lid []
+  fun lid -> up lid []
 
 let compute ?(tree = []) ~(topo : Topology.t) ~pes (g : Dfg.Graph.t) : t =
   let n = Dfg.Graph.num_nodes g in
@@ -50,9 +51,10 @@ let compute ?(tree = []) ~(topo : Topology.t) ~pes (g : Dfg.Graph.t) : t =
           ()
       | _ -> Hashtbl.replace cluster_loop r (cnt, loop))
     votes;
+  let top_ancestor = top_ancestor tree in
   let region_of_cluster r =
     match Hashtbl.find_opt cluster_loop r with
-    | Some (_, lid) -> top_ancestor tree lid
+    | Some (_, lid) -> top_ancestor lid
     | None -> -1
   in
   (* region keys present, toplevel first then ascending loop id *)
@@ -63,13 +65,9 @@ let compute ?(tree = []) ~(topo : Topology.t) ~pes (g : Dfg.Graph.t) : t =
   in
   let region_keys = match region_keys with [] -> [ -1 ] | l -> l in
   let nregions = List.length region_keys in
-  let region_ord key =
-    let rec go i = function
-      | [] -> 0
-      | k :: tl -> if k = key then i else go (i + 1) tl
-    in
-    go 0 region_keys
-  in
+  let ords : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri (fun i k -> Hashtbl.replace ords k i) region_keys;
+  let region_ord key = Option.value ~default:0 (Hashtbl.find_opt ords key) in
   (* contiguous PE ranges proportional to the node weight per region *)
   let weight = Array.make nregions 0 in
   List.iter

@@ -2,14 +2,14 @@ type spec = { hysteresis : int; min_victim : int }
 
 let default = { hysteresis = 4; min_victim = 2 }
 
-let victim (topo : Topology.t) (spec : spec) ~thief ~queue_len =
-  let best = ref None in
-  for pe = 0 to topo.Topology.pes - 1 do
-    if pe <> thief && queue_len pe >= spec.min_victim then begin
-      let d = Routing.hops topo thief pe in
-      match !best with
-      | Some (bd, _) when bd <= d -> ()
-      | _ -> best := Some (d, pe)
-    end
-  done;
-  match !best with Some (_, pe) -> Some pe | None -> None
+let nearest (topo : Topology.t) ~thief candidates =
+  List.fold_left
+    (fun best pe ->
+      if pe = thief then best
+      else
+        let d = Routing.hops topo thief pe in
+        match best with
+        | Some (bd, bpe) when bd < d || (bd = d && bpe < pe) -> best
+        | _ -> Some (d, pe))
+    None candidates
+  |> Option.map snd

@@ -16,16 +16,20 @@
 
 type spec = {
   hysteresis : int;  (** idle cycles before the first steal attempt *)
-  min_victim : int;  (** victim's minimum ready-queue length *)
+  min_victim : int;
+      (** victim's minimum ready-queue length; at least 1, a PE with
+          nothing ready has nothing to steal *)
 }
 
 val default : spec
 (** hysteresis 4, min_victim 2. *)
 
-val victim :
-  Topology.t -> spec -> thief:int -> queue_len:(int -> int) -> int option
-(** [victim topo spec ~thief ~queue_len] picks the PE to steal from:
-    the eligible PE ([queue_len pe >= min_victim], [pe <> thief]) at
-    the smallest hop distance from [thief], ties broken by the lower
-    PE index — a pure function of the queue state, so simulation stays
-    deterministic.  [None] when no PE is eligible. *)
+val nearest : Topology.t -> thief:int -> int list -> int option
+(** [nearest topo ~thief victims] picks the PE to steal from: the
+    candidate at the smallest hop distance from [thief] (never [thief]
+    itself), ties broken by the lower PE index — a pure function of the
+    candidate set, whatever its order, so simulation stays
+    deterministic.  [None] when no other candidate is given.  The
+    machine passes only the live PEs holding at least [min_victim]
+    ready firings, so the search costs what the eligible set holds, not
+    the PE count. *)

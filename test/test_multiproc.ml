@@ -220,9 +220,6 @@ let test_multiproc_accounting () =
     (r.MP.cut_traffic > 0.0 && r.MP.cut_traffic < 1.0);
   checkb "memory accesses all routed" true
     (r.MP.mem_local + r.MP.mem_remote = r.MP.memory_ops);
-  checki "occupancy curve covers the run"
-    (Array.length r.MP.per_pe_curve.(0))
-    (Array.length r.MP.net_occupancy);
   checkb "diagnosis carries the network section" true
     (r.MP.diagnosis.Machine.Diagnosis.network <> None);
   (* p=1 never touches the network *)
@@ -463,26 +460,21 @@ let test_hier_no_worse_than_hash_cut () =
 
 let test_steal_victim_selection () =
   let topo = T.make T.Mesh ~pes:16 in
-  let spec = Sched.Steal.default in
+  let nearest = Sched.Steal.nearest topo in
   (* thief 5 = (1,1); PEs 6 and 9 are both one hop out — the tie goes
-     to the lower index *)
-  let ql = function 6 | 9 -> 5 | _ -> 0 in
+     to the lower index, whatever the candidate order *)
   Alcotest.(check (option int))
     "nearest victim, tie to the lower index" (Some 6)
-    (Sched.Steal.victim topo spec ~thief:5 ~queue_len:ql);
-  (* a farther but only eligible queue wins *)
-  let ql = function 15 -> 3 | _ -> 0 in
+    (nearest ~thief:5 [ 9; 15; 6 ]);
+  (* a farther but only candidate wins *)
   Alcotest.(check (option int))
     "distance loses to eligibility" (Some 15)
-    (Sched.Steal.victim topo spec ~thief:0 ~queue_len:ql);
-  (* queues below min_victim are off limits, and so is the thief *)
-  Alcotest.(check (option int))
-    "short queues are not victims" None
-    (Sched.Steal.victim topo spec ~thief:0 ~queue_len:(fun _ -> 1));
+    (nearest ~thief:0 [ 15 ]);
+  Alcotest.(check (option int)) "no candidates, no victim" None
+    (nearest ~thief:0 []);
   Alcotest.(check (option int))
     "a PE never steals from itself" None
-    (Sched.Steal.victim topo spec ~thief:3 ~queue_len:(fun pe ->
-         if pe = 3 then 10 else 0))
+    (nearest ~thief:3 [ 3 ])
 
 let test_steal_moves_work_and_preserves_store () =
   let p = example "stencil" in
@@ -613,6 +605,107 @@ let qcheck_recovery =
        ~name:"recovered faulty runs match the reference (random programs)"
        ~count:50 arb_program prop_recovery_determinate)
 
+(* The affinity clustering against its naive statement: for each
+   expression node, scan the whole arc array for a data consumer and for
+   its first non-terminal producer — O(N·E), kept here as the oracle for
+   the one-pass {!Sched.Cluster.roots}. *)
+let naive_roots (g : Dfg.Graph.t) : int array =
+  let n = Dfg.Graph.num_nodes g in
+  let parent = Array.init n (fun i -> i) in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
+  in
+  let kind = Dfg.Graph.kind g in
+  let is_expr i =
+    match kind i with
+    | Dfg.Node.Const _ | Binop _ | Unop _ | Id | Sink -> true
+    | _ -> false
+  in
+  let is_mem i = Dfg.Node.is_memory_op (kind i) in
+  let is_terminal i =
+    match kind i with Dfg.Node.Start _ | End _ -> true | _ -> false
+  in
+  let arcs = Array.to_list g.Dfg.Graph.arcs in
+  let src (a : Dfg.Graph.arc) = a.Dfg.Graph.src.Dfg.Graph.node in
+  let dst (a : Dfg.Graph.arc) = a.Dfg.Graph.dst.Dfg.Graph.node in
+  let var_rep = Hashtbl.create 16 in
+  Dfg.Graph.iter_nodes g (fun node ->
+      match node.Dfg.Node.kind with
+      | Dfg.Node.Load { var; _ } | Store { var; _ } -> (
+          match Hashtbl.find_opt var_rep var with
+          | Some r -> union r node.Dfg.Node.id
+          | None -> Hashtbl.add var_rep var node.Dfg.Node.id)
+      | _ -> ());
+  List.iter
+    (fun a ->
+      if is_expr (src a) && (is_expr (dst a) || is_mem (dst a)) then
+        union (src a) (dst a))
+    arcs;
+  Dfg.Graph.iter_nodes g (fun node ->
+      let i = node.Dfg.Node.id in
+      let feeds_data a = src a = i && (is_expr (dst a) || is_mem (dst a)) in
+      if is_expr i && not (List.exists feeds_data arcs) then
+        match
+          List.find_opt (fun a -> dst a = i && not (is_terminal (src a))) arcs
+        with
+        | Some a -> union i (src a)
+        | None -> ());
+  let first f = function
+    | a :: _ when not (is_terminal (f a)) -> Some (f a)
+    | _ -> None
+  in
+  let join i = Option.iter (union i) in
+  Dfg.Graph.iter_nodes g (fun node ->
+      let i = node.Dfg.Node.id in
+      match node.Dfg.Node.kind with
+      | Dfg.Node.Switch -> join i (first src (Dfg.Graph.incoming g i 0))
+      | Merge ->
+          List.iter
+            (fun a -> if not (is_terminal (src a)) then union i (src a))
+            (Dfg.Graph.incoming g i 0)
+      | Synch _ -> join i (first dst (Dfg.Graph.outgoing g i 0))
+      | Loop_entry { arity = 1; _ } -> (
+          match first src (Dfg.Graph.incoming g i 1) with
+          | Some s -> union i s
+          | None -> join i (first dst (Dfg.Graph.outgoing g i 0)))
+      | Loop_exit { arity = 1; _ } ->
+          join i (first src (Dfg.Graph.incoming g i 0))
+      | _ -> ());
+  Array.init n find
+
+let cluster_schemas =
+  [
+    Dflow.Driver.Schema1;
+    Dflow.Driver.Schema2 Dflow.Engine.Pipelined;
+    Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined;
+    Dflow.Driver.Schema3 (Dflow.Driver.Classes, Dflow.Engine.Pipelined);
+  ]
+
+let prop_cluster_roots_match_oracle (p : Imp.Ast.program) =
+  List.for_all
+    (fun spec ->
+      match Dflow.Driver.compile spec p with
+      | exception
+          (Dflow.Driver.Aliasing_unsupported _ | Cfg.Intervals.Irreducible _)
+        ->
+          true
+      | c ->
+          let g = c.Dflow.Driver.graph in
+          Sched.Cluster.roots g = naive_roots g)
+    cluster_schemas
+
+let qcheck_cluster_oracle =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0xC105 |])
+    (QCheck.Test.make ~name:"one-pass clustering matches the naive oracle"
+       ~count:200
+       (QCheck.make ~print:Imp.Pretty.program_to_string
+          (Workloads.Random_gen.structured
+             ~config:{ small_cfg with allow_alias = true; max_depth = 3 }))
+       prop_cluster_roots_match_oracle)
+
 let () =
   Alcotest.run "multiproc"
     [
@@ -622,6 +715,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_placement_stats;
           Alcotest.test_case "affinity beats hash on cut" `Quick
             test_affinity_beats_hash_on_cut;
+          qcheck_cluster_oracle;
         ] );
       ( "network",
         [
