@@ -311,7 +311,7 @@ let placement_conv : Machine.Placement.policy Arg.conv =
 
 let simulate_cmd file schema transforms optimize mp_pes placement net_kind
     steal net_latency net_bandwidth net_queue modules mem_latency trace_out
-    fault_seed fault_rate fault_classes recover no_certify engine =
+    fault_seed fault_rate fault_classes recover no_certify =
   (* usage errors first, same contract as --engine / --jobs: exit 2 with
      a message naming the flag and the valid values *)
   if mp_pes < 1 then begin
@@ -325,29 +325,13 @@ let simulate_cmd file schema transforms optimize mp_pes placement net_kind
         Fmt.epr "df_compile: %s@." msg;
         exit 2
   in
-  (* the packed engine models the idealised single-hop interconnect and
-     static placement only; fail fast rather than silently ignore the
-     scheduling flags until the packed x network marriage lands *)
-  (match engine_of_flag engine with
-  | Machine.Config.Packed
-    when topo_kind <> Sched.Topology.Uniform || steal
-         || placement = Machine.Placement.Hier ->
-      Fmt.epr
-        "df_compile: --engine packed is single-PE idealised: --net \
-         mesh/torus/cube, --steal and --placement hier need --engine \
-         reference@.";
-      exit 2
-  | _ -> ());
   let p = read_program file in
   let transforms = transforms_of_list transforms in
   let compiled = Dflow.Driver.compile ~transforms schema p in
   let graph = maybe_optimize optimize compiled.Dflow.Driver.graph in
   Dfg.Check.check graph;
   if no_certify then Dfg.Graph.set_cert graph None;
-  let config =
-    { (config_of None mem_latency) with
-      Machine.Config.engine = engine_of_flag engine }
-  in
+  let config = config_of None mem_latency in
   let faults =
     Option.map
       (fun seed ->
@@ -567,7 +551,7 @@ let simulate_term =
               "Enable checkpoint/replay recovery: epoch snapshots, plus — \
                with --fault-seed — one seeded PE fail-stop whose nodes are \
                remapped over the survivors and replayed.")
-    $ no_certify_arg $ engine_arg)
+    $ no_certify_arg)
 
 (* --- dot ------------------------------------------------------------- *)
 

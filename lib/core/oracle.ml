@@ -178,31 +178,19 @@ let combos_for ?(include_broken = false) (p : Imp.Ast.program) : combo list =
       ]
   in
   (* the packed-engine tier: the same differential bar again on the
-     compiled core — bit-identical final stores are exactly what the
-     packed engine promises.  Fault injection stays reference-only, so
-     no faulty packed points *)
+     compiled single-PE core — bit-identical final stores are exactly
+     what the packed engine promises.  Fault injection stays
+     reference-only, so no faulty packed points; multi-PE runs have one
+     engine, covered by the multiprocessor tiers above *)
   let packed =
-    let deflt = Machine.Network.default in
     let pk = combo ~engine:Machine.Config.Packed in
     [ pk Schema1 t0; pk (Schema3 (Classes, Engine.Barrier)) t0 ]
-    @ (if aliasing then []
-       else
-         [
-           pk (Schema2 Engine.Pipelined) t0;
-           pk (Schema2_opt Engine.Pipelined) all_transforms;
-         ])
-    @ [
-        combo ~engine:Machine.Config.Packed
-          ~multiproc:(Machine.Placement.Hash, 2, deflt)
-          Schema1 t0;
-      ]
     @
     if aliasing then []
     else
       [
-        combo ~engine:Machine.Config.Packed
-          ~multiproc:(Machine.Placement.Affinity, 4, deflt)
-          (Schema2_opt Engine.Pipelined) t0;
+        pk (Schema2 Engine.Pipelined) t0;
+        pk (Schema2_opt Engine.Pipelined) all_transforms;
       ]
   in
   base @ s2 @ s3 @ mp @ mp_faulty @ mp_sched @ packed @ broken

@@ -218,7 +218,9 @@ let run (g : Graph.t) : Graph.t =
             | Some _ ->
                 (* the folded constant needs exactly one trigger; derive
                    it from the trigger of a constant operand (itself
-                   possibly dead), else from the first incoming arc *)
+                   possibly dead), else from the first incoming arc.  A
+                   trigger carries no permission, so the new arc has no
+                   token labels in either branch *)
                 if not trigger_done.(dst) then begin
                   trigger_done.(dst) <- true;
                   (* find the transitive trigger: walk back through dead

@@ -20,17 +20,26 @@ let run (g : Graph.t) : Graph.t =
   done;
   if not (Array.exists Fun.id splice) then g
   else begin
+    (* A permission element flows along a spliced chain only where every
+       arc of it carries the element, so the chain's labels intersect
+       ([None]: no arc spliced yet).  A union would hand a fraction to a
+       consumer the spliced node never fed, e.g. a constant's trigger
+       fanning out beside a load, which then destroys it. *)
+    let restrict toks ls =
+      match toks with
+      | None -> ls
+      | Some ts -> List.filter (fun e -> List.mem e ts) ls
+    in
     (* resolve a source port through spliced nodes, unioning the dummy
-       flag and permission labels of the chain *)
-    let rec resolve (p : Graph.port) : Graph.port * bool * int list =
+       flag and intersecting the permission labels of the chain *)
+    let rec resolve (p : Graph.port) : Graph.port * bool * int list option =
       if splice.(p.Graph.node) then
         match Graph.incoming g p.Graph.node 0 with
         | [ a ] ->
             let src, d, toks = resolve a.Graph.src in
-            (src, d || a.Graph.dummy,
-             List.sort_uniq compare (toks @ a.Graph.tokens))
+            (src, d || a.Graph.dummy, Some (restrict toks a.Graph.tokens))
         | _ -> assert false
-      else (p, false, [])
+      else (p, false, None)
     in
     let remap = Array.make n (-1) in
     let next = ref 0 in
@@ -57,7 +66,7 @@ let run (g : Graph.t) : Graph.t =
           if not splice.(src.Graph.node) then
             Graph.Builder.connect b
               ~dummy:(a.Graph.dummy || extra_dummy)
-              ~tokens:(List.sort_uniq compare (a.Graph.tokens @ extra_tokens))
+              ~tokens:(restrict extra_tokens a.Graph.tokens)
               (remap.(src.Graph.node), src.Graph.index)
               (remap.(a.Graph.dst.Graph.node), a.Graph.dst.Graph.index)
         end)

@@ -39,7 +39,8 @@ type policy =
     graphs produce bit-identical final stores under both; the packed
     engine's observability is coarser (no per-cycle curves, no dynamic
     critical path) and fault injection stays a reference-engine
-    feature. *)
+    feature.  The engine selects the single-PE core only: {!Multiproc}
+    is the one multi-PE machine and ignores it. *)
 type engine =
   | Reference
   | Packed
@@ -77,7 +78,8 @@ type t = {
           as divergence), modelling a finite ETS frame memory that
           degrades gracefully. *)
   engine : engine;
-      (** execution core; [Reference] unless explicitly switched.  The
+      (** single-PE execution core; [Reference] unless explicitly
+          switched.  The
           packed engine interprets [max_matching] at frame granularity
           (simultaneously live contexts) rather than per (node, context)
           entry. *)

@@ -37,7 +37,11 @@ type policy =
     event-driven ready wheel.  Determinate graphs produce bit-identical
     final stores under both engines; packed observability is coarser
     (no per-cycle curves or dynamic critical path) and fault injection
-    remains a reference-engine feature. *)
+    remains a reference-engine feature.
+
+    The engine selects the {e single-PE} core only ({!Interp.run} and
+    friends).  {!Multiproc} is the one multi-PE machine and ignores
+    this field, so one machine configuration has one cycle count. *)
 type engine =
   | Reference
   | Packed
@@ -73,7 +77,8 @@ type t = {
           packed engine reads the bound at frame granularity:
           simultaneously live iteration contexts instead of (node,
           context) entries. *)
-  engine : engine;  (** execution core; [Reference] by default *)
+  engine : engine;
+      (** single-PE execution core; [Reference] by default *)
 }
 
 (** Unbounded PEs, default latencies, FIFO, collision detection on. *)

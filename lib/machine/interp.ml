@@ -136,7 +136,7 @@ let run_packed ~(config : Config.t)
   let code = Packed.compile_graph p.graph in
   let on_fire =
     Option.map
-      (fun cb t node ctx ~pe:_ -> cb t (Dfg.Graph.node p.graph node) ctx)
+      (fun cb t node ctx -> cb t (Dfg.Graph.node p.graph node) ctx)
       on_fire
   in
   match Packed.run_report ~config ?on_fire ~layout:p.layout code with

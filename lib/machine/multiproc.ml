@@ -108,72 +108,6 @@ let run ?(config = Config.default) ?(net = Network.default)
   | Some s when s.Sched.Steal.min_victim < 1 ->
       invalid_arg "Multiproc.run: steal min_victim must be >= 1"
   | _ -> ());
-  match (config.Config.engine, faults, recovery, topo, steal) with
-  | Config.Packed, None, None, None, None ->
-      (* the compiled token store with the idealised interconnect: every
-         cross-PE token pays the network's hop latency, partitioned by
-         the same placement.  Fault injection and fail-stop recovery
-         stay reference-engine features (the fall-through below). *)
-      let g = p.Interp.graph in
-      let code = Packed.compile_graph g in
-      let place = Placement.compute placement ~pes g in
-      let on_fire =
-        Option.map
-          (fun cb t node ctx ~pe -> cb t (Dfg.Graph.node g node) ctx ~pe)
-          on_fire
-      in
-      (* parity with the reference multiprocessor: the sanitizer only
-         runs when faults or recovery are requested, i.e. never here *)
-      (match
-         Packed.run_report ~config
-           ~multiproc:(place, issue_width, net.Network.latency)
-           ~sanitize:false ?on_fire ~layout:p.Interp.layout code
-       with
-      | Error d -> Error d
-      | Ok r ->
-          let cycles = r.Packed.cycles in
-          let utilisation =
-            Array.map
-              (fun busy ->
-                if cycles <= 0 then 0.0
-                else float_of_int busy /. float_of_int cycles)
-              r.Packed.per_pe_busy
-          in
-          let deliveries = r.Packed.local_deliveries + r.Packed.net_messages in
-          Ok
-            {
-              memory = r.Packed.memory;
-              cycles;
-              firings = r.Packed.firings;
-              memory_ops = r.Packed.memory_ops;
-              completed = r.Packed.completed;
-              leftover_tokens = r.Packed.leftover_tokens;
-              peak_matching = r.Packed.peak_frames;
-              per_pe_firings = r.Packed.per_pe_firings;
-              per_pe_busy = r.Packed.per_pe_busy;
-              utilisation;
-              local_deliveries = r.Packed.local_deliveries;
-              net_messages = r.Packed.net_messages;
-              cut_traffic =
-                (if deliveries = 0 then 0.0
-                 else
-                   float_of_int r.Packed.net_messages
-                   /. float_of_int deliveries);
-              (* the packed engine does not model memory homes: every
-                 access is served where it issues *)
-              mem_local = r.Packed.memory_ops;
-              mem_remote = 0;
-              backpressure = 0;
-              peak_queue = 0;
-              net_hops = r.Packed.net_messages;
-              steals = 0;
-              placement = place;
-              placement_stats = Placement.stats g place;
-              transport = None;
-              recovery = None;
-              diagnosis = r.Packed.diagnosis;
-            })
-  | _ ->
   let g = p.Interp.graph in
   let pcount = pes in
   let place = ref (Placement.compute ~tree ?topo placement ~pes:pcount g) in

@@ -38,7 +38,9 @@
     Of {!Config.t} the multiprocessor honours [latencies], [policy],
     [max_cycles] and [detect_collisions]; [pes], [memory_ports] and
     [max_matching] are single-machine notions superseded by [~pes],
-    the module interleaving and per-PE stores.
+    the module interleaving and per-PE stores, and [engine] selects the
+    single-PE core only: this machine is the one multi-PE cost model,
+    whatever the config names.
 
     {b Fault tolerance.}  Passing [?faults] and/or [?recovery] switches
     the machine from the raw wire to the {!Network} reliable transport

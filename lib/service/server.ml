@@ -110,6 +110,8 @@ let compiled_of j : Dflow.Driver.compiled =
   Dfg.Check.check c.Dflow.Driver.graph;
   c
 
+(* the machine fields shared by run and simulate; [engine] picks the
+   single-PE core, so only run reads it *)
 let config_of j =
   {
     Machine.Config.default with
@@ -119,7 +121,6 @@ let config_of j =
         Machine.Config.default_latencies with
         memory = int ~default:4 j "mem-latency";
       };
-    engine = engine_field j;
   }
 
 (* --- result encoding -------------------------------------------------- *)
@@ -171,7 +172,7 @@ let op_compile id j =
 
 let op_run id j =
   let c = compiled_of j in
-  let config = config_of j in
+  let config = { (config_of j) with Machine.Config.engine = engine_field j } in
   let prog =
     { Machine.Interp.graph = c.Dflow.Driver.graph; layout = c.Dflow.Driver.layout }
   in

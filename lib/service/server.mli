@@ -17,7 +17,8 @@
     - ["simulate"]: compile then execute on the multiprocessor
       ([pes], [placement], [net-latency], seeded [fault-seed] /
       [fault-rate] / [fault-classes], [recover]) -> cycles, traffic,
-      recovery accounting, store, reference check.
+      recovery accounting, store, reference check.  An [engine] field
+      is ignored: the multiprocessor has one cost model.
     - ["selfcheck-combo"]: run the differential oracle's combo matrix
       (optionally one named [combo], optionally [broken]) on [source].
     - ["stats"]: the memoization cache counters.  Answered after the

@@ -221,23 +221,16 @@ let test_simulate_bad_net () =
   checkb "error lists the topologies" true
     (contains out "uniform | mesh | torus | cube")
 
-let test_simulate_packed_conflict () =
-  (* the packed engine models a single idealised PE: topology, stealing
-     and hierarchical placement are reference-engine concepts *)
+let test_simulate_no_engine_flag () =
+  (* the multiprocessor has one cost model, so simulate has no engine to
+     choose: --engine is an unknown option there, a command-line usage
+     error (cmdliner's exit 124), while run keeps the flag *)
   let f = write_temp ".imp" sum_program in
-  List.iter
-    (fun flags ->
-      let code, out =
-        capture
-          (Fmt.str "%s simulate %s --engine packed %s" binary f flags)
-      in
-      checki (flags ^ " exit code") 2 code;
-      checkb "error explains the conflict" true
-        (contains out "single-PE idealised"))
-    [ "--net mesh"; "--steal"; "--placement hier" ];
-  (* packed with none of the conflicting flags still runs *)
-  let code, _ = capture (Fmt.str "%s simulate %s --engine packed" binary f) in
-  checki "plain packed simulate ok" 0 code
+  let code, out = capture (Fmt.str "%s simulate %s --engine packed" binary f) in
+  checki "usage error exit code" 124 code;
+  checkb "error names the option" true (contains out "--engine");
+  let code, _ = capture (Fmt.str "%s run %s --engine packed" binary f) in
+  checki "run --engine packed ok" 0 code
 
 let () =
   if not (Sys.file_exists binary) then begin
@@ -270,7 +263,7 @@ let () =
             test_simulate_bad_pes;
           Alcotest.test_case "simulate rejects bad --net" `Quick
             test_simulate_bad_net;
-          Alcotest.test_case "packed engine rejects multiproc flags" `Quick
-            test_simulate_packed_conflict;
+          Alcotest.test_case "simulate has no --engine" `Quick
+            test_simulate_no_engine_flag;
         ] );
     ]

@@ -117,6 +117,59 @@ let test_uncertified_when_stripped () =
   checkb "uncertified" true
     (r.Machine.Interp.diagnosis.Machine.Diagnosis.certified = None)
 
+(* the optimiser rebuilds the graph (Simplify splices fan-out points,
+   Opt folds constants onto new triggers); the rebuilt arcs must keep
+   their permission labels exact, or the certificate rejects a correct
+   run.  Every committed example, optimised exactly as the CLI's [-O]
+   does, must certify cleanly on the single-PE machine and on the
+   multiprocessor at p=4, and reproduce the sequential store. *)
+let programs_dir =
+  List.find_opt Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+
+let example_programs () =
+  match programs_dir with
+  | None -> Alcotest.fail "cannot locate examples/programs"
+  | Some dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".imp")
+      |> List.sort compare
+      |> List.map (fun f ->
+             let ic = open_in (Filename.concat dir f) in
+             let src = really_input_string ic (in_channel_length ic) in
+             close_in ic;
+             (Filename.chop_extension f, Imp.Parser.program_of_string src))
+
+let optimise (c : Dflow.Driver.compiled) =
+  { Machine.Interp.graph = Dfg.Opt.run (Dfg.Simplify.run c.Dflow.Driver.graph);
+    layout = c.Dflow.Driver.layout }
+
+let test_optimised_examples_certify () =
+  let examples = example_programs () in
+  checki "five committed examples" 5 (List.length examples);
+  List.iter
+    (fun (name, p) ->
+      let reference = Imp.Eval.run_program ~fuel:1_000_000 p in
+      List.iter
+        (fun (sname, spec) ->
+          let prog = optimise (Dflow.Driver.compile spec p) in
+          let check tag (d : Machine.Diagnosis.t) mem =
+            let tag = Fmt.str "%s -s %s -O, %s" name sname tag in
+            checkb (tag ^ ": certified") true (d.Machine.Diagnosis.certified <> None);
+            checki (tag ^ ": no permission violations") 0
+              (List.length d.Machine.Diagnosis.permission);
+            checkb (tag ^ ": store matches Imp.Eval") true
+              (Imp.Memory.equal reference mem)
+          in
+          let r = Machine.Interp.run prog in
+          check "run" r.Machine.Interp.diagnosis r.Machine.Interp.memory;
+          let m = MP.run_exn ~placement:P.Affinity ~pes:4 prog in
+          check "simulate p=4" m.MP.diagnosis m.MP.memory)
+        [
+          ("2p", Dflow.Driver.Schema2 Dflow.Engine.Pipelined);
+          ("3", Dflow.Driver.Schema3 (Dflow.Driver.Classes, Dflow.Engine.Barrier));
+        ])
+    examples
+
 (* certificate-only detection of both seeded miscompilations: with
    collision detection off and the reference store never compared, the
    permission checker alone must reject the Figure 8 pathology (token
@@ -246,6 +299,23 @@ let qcheck_certificate =
           rotating schemas, p=1/4, faults, fail-stop)"
        ~count:100 arb_program prop_certificate_sound)
 
+(* the same soundness bar after the optimiser's rebuild: an optimised
+   graph keeps its certificate, and a store-correct run on it certifies
+   cleanly *)
+let prop_optimised_sound (p : Imp.Ast.program) =
+  let reference = Imp.Eval.run_program ~fuel:1_000_000 p in
+  let prog = optimise (compile_rotating p) in
+  let r = Machine.Interp.run prog in
+  prog.Machine.Interp.graph.Dfg.Graph.cert <> None
+  && certificate_ok r.Machine.Interp.diagnosis reference r.Machine.Interp.memory
+
+let qcheck_optimised =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0x0B7 |])
+    (QCheck.Test.make
+       ~name:"optimised graphs certify (random programs, rotating schemas)"
+       ~count:200 arb_program prop_optimised_sound)
+
 let () =
   Alcotest.run "permission"
     [
@@ -265,8 +335,10 @@ let () =
             test_certified_clean_run;
           Alcotest.test_case "stripped graph is uncertified" `Quick
             test_uncertified_when_stripped;
+          Alcotest.test_case "optimised examples certify" `Quick
+            test_optimised_examples_certify;
           Alcotest.test_case "broken schemas caught by certificate alone" `Slow
             test_broken_caught_by_certificate_alone;
         ] );
-      ("property", [ qcheck_certificate ]);
+      ("property", [ qcheck_certificate; qcheck_optimised ]);
     ]
