@@ -3,15 +3,19 @@
    bechamel's OLS estimator (ns/run regressed over batched runs, which
    is far more robust than a stopwatch around a single execution).
 
-   Both engines run in service mode — sanitizer off, certificate
-   stripped — on the same compiled graph, so the comparison isolates the
-   execution core.  Before timing anything the two engines are run once
-   and their final stores compared: a divergence aborts the benchmark,
-   because a fast wrong engine is not a result.
+   The stripped ratio runs both engines in service mode — certificate
+   stripped, packed sanitizer off (the reference interpreter always
+   sanitizes) — on the same compiled graph, so the comparison isolates
+   the execution core.  The checked ratio runs them as [df_compile run]
+   does, sanitizer and certificate on: what a user of [run] gets.
+   Before timing anything the two engines are run once and their final
+   stores compared: a divergence aborts the benchmark, because a fast
+   wrong engine is not a result.
 
    Usage: dune exec bench/throughput.exe [-- --programs DIR] [--floor X]
    With [--floor X] the exit status enforces the CI claim: the packed
-   engine must reach at least [X]x the reference on the stencil. *)
+   engine must reach at least [X]x the reference on the stencil, stripped
+   ratio. *)
 
 let read_file path =
   let ic = open_in path in
@@ -78,8 +82,8 @@ let () =
            ))
   in
   Fmt.pr "== engine throughput (schema2-opt pipelined, service mode) ==@.";
-  Fmt.pr "  %-12s %8s %14s %14s %16s %9s@." "program" "firings" "reference"
-    "packed" "firings/sec" "speedup";
+  Fmt.pr "  %-12s %8s %14s %14s %16s %9s %9s@." "program" "firings"
+    "reference" "packed" "firings/sec" "stripped" "checked";
   List.iter
     (fun (pname, p) ->
       match
@@ -91,8 +95,21 @@ let () =
       | exception Dflow.Driver.Aliasing_unsupported _ ->
           Fmt.pr "  %-12s (aliasing: schema2-opt not applicable)@." pname
       | c ->
-          let g = c.Dflow.Driver.graph in
           let layout = c.Dflow.Driver.layout in
+          (* the checked twin keeps its certificate *)
+          let checked_prog =
+            {
+              Machine.Interp.graph =
+                (Dflow.Driver.compile
+                   (Dflow.Driver.Schema2_opt Dflow.Engine.Pipelined) p)
+                  .Dflow.Driver.graph;
+              layout;
+            }
+          in
+          let checked_code =
+            Machine.Packed.compile_graph checked_prog.Machine.Interp.graph
+          in
+          let g = c.Dflow.Driver.graph in
           Dfg.Graph.set_cert g None;
           let prog = { Machine.Interp.graph = g; layout } in
           let rref = Machine.Interp.run_exn prog in
@@ -130,6 +147,14 @@ let () =
                        ignore
                          (Machine.Packed.run_report ~sanitize:false ~layout
                             code)));
+                Test.make ~name:"reference-checked"
+                  (Staged.stage (fun () ->
+                       ignore (Machine.Interp.run_exn checked_prog)));
+                Test.make ~name:"packed-checked"
+                  (Staged.stage (fun () ->
+                       ignore
+                         (Machine.Packed.run_report ~sanitize:true ~layout
+                            checked_code)));
               ]
           in
           let results = ols_ns tests in
@@ -145,10 +170,15 @@ let () =
           | Some tr, Some tp when tp > 0.0 ->
               let firings = rpk.Machine.Packed.firings in
               if pname = "stencil" then stencil_speedup := Some (tr /. tp);
-              Fmt.pr "  %-12s %8d %11.0f ns %11.0f ns %16.3e %8.1fx@." pname
+              let checked =
+                match (est "reference-checked", est "packed-checked") with
+                | Some cr, Some cp when cp > 0.0 -> Fmt.str "%8.1fx" (cr /. cp)
+                | _ -> Fmt.str "%9s" "-"
+              in
+              Fmt.pr "  %-12s %8d %11.0f ns %11.0f ns %16.3e %8.1fx %s@." pname
                 firings tr tp
                 (float_of_int firings /. (tp *. 1e-9))
-                (tr /. tp)
+                (tr /. tp) checked
           | _ -> Fmt.pr "  %-12s (no estimate)@." pname))
     examples;
   match floor_req with

@@ -219,8 +219,12 @@ let compile_front ?(transforms = no_transforms) (fr : front) (spec : spec) :
   in
   match spec with
   | Schema1 ->
-      certify Token_map.single
-        { graph = Engine.schema1 ~mode:base_mode g; layout; cfg = g; spec; ltree }
+      (* one access token and no loop gateways: a loop body re-fires at
+         the same context every trip, so the sanitizer's one fire per
+         (node, context) rule does not apply *)
+      let graph = Engine.schema1 ~mode:base_mode g in
+      Dfg.Graph.set_iteration_tags graph false;
+      certify Token_map.single { graph; layout; cfg = g; spec; ltree }
   | Schema2_unsafe_no_loop_control ->
       check_no_alias ();
       (* the certificate is attached to the broken translation too: the

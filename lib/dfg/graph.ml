@@ -40,6 +40,11 @@ type t = {
   mutable cert : cert option;
       (** certificate metadata, attached after {!Builder.finish} by the
           driver; [None] = this run cannot be certified *)
+  mutable iteration_tags : bool;
+      (** the translation gives every loop iteration its own context
+          (loop gateways); [false] for Schema 1, whose single access
+          token re-fires a loop body in one context.  [true] for
+          hand-built graphs. *)
 }
 
 let num_nodes (g : t) = Array.length g.nodes
@@ -160,11 +165,15 @@ module Builder = struct
       find_unique (function Node.Start _ -> true | _ -> false) "start"
     in
     let stop = find_unique (function Node.End _ -> true | _ -> false) "end" in
-    { nodes; arcs; outs; ins; start; stop; cert = None }
+    { nodes; arcs; outs; ins; start; stop; cert = None; iteration_tags = true }
 end
 
 (** [set_cert g c] attaches certificate metadata (driver-side). *)
 let set_cert (g : t) (c : cert option) : unit = g.cert <- c
+
+(** [set_iteration_tags g b] records what the translation promises about
+    loop contexts (driver-side, like {!set_cert}). *)
+let set_iteration_tags (g : t) (b : bool) : unit = g.iteration_tags <- b
 
 (** [remap_cert c remap n] — the certificate after a rebuild pass that
     renumbered nodes: [remap.(old)] is the new id or [-1] if dropped

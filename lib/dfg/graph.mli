@@ -39,6 +39,14 @@ type t = {
   mutable cert : cert option;
       (** attached after {!Builder.finish} by the driver; [None] = the
           run cannot be certified *)
+  mutable iteration_tags : bool;
+      (** the translation gives every loop iteration its own context
+          through loop gateways, so each (node, context) fires at most
+          once.  Recorded by the driver from the schema, never read off
+          the wiring: [false] for Schema 1, whose single access token
+          legitimately re-fires a loop body in one context; [true] for
+          every other schema (including the broken Figure 8 one, which
+          promises tags it fails to deliver) and for hand-built graphs. *)
 }
 
 val num_nodes : t -> int
@@ -76,6 +84,10 @@ val iter_nodes : t -> (Node.t -> unit) -> unit
 
 (** [set_cert g c] attaches certificate metadata (driver-side). *)
 val set_cert : t -> cert option -> unit
+
+(** [set_iteration_tags g b] records the schema's context promise
+    (driver-side); rebuild passes copy it. *)
+val set_iteration_tags : t -> bool -> unit
 
 (** [remap_cert c remap n] — the certificate after a rebuild pass:
     [remap.(old)] is the new node id ([-1] if dropped), [n] the new node

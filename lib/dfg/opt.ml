@@ -274,5 +274,6 @@ let run (g : Graph.t) : Graph.t =
       (fun c ->
         Graph.set_cert out (Some (Graph.remap_cert c remap (Graph.num_nodes out))))
       g.Graph.cert;
+    Graph.set_iteration_tags out g.Graph.iteration_tags;
     out
   end

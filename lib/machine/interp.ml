@@ -116,7 +116,7 @@ type firing = {
   f_inputs : Imp.Value.t array;
   f_in_depth : int;  (** max depth over the consumed input tokens *)
   f_pred : int;  (** firing-log index of the deepest producer, [-1] *)
-  f_bags : Permission.bag list;  (** permission bags of the consumed tokens *)
+  f_held : Permission.bag;  (** join of the consumed tokens' permission bags *)
 }
 
 let dummy_value = Firing.dummy_value
@@ -333,7 +333,7 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
             f_inputs = [| d.d_value |];
             f_in_depth = d.d_depth;
             f_pred = d.d_src;
-            f_bags = [ d.d_bag ];
+            f_held = d.d_bag;
           }
           ready
     | _ -> (
@@ -405,8 +405,13 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
                   f_inputs = Array.map (fun s -> s.s_value) slots;
                   f_in_depth = !in_depth;
                   f_pred = !pred;
-                  f_bags =
-                    Array.to_list (Array.map (fun s -> s.s_bag) slots);
+                  f_held =
+                    (match perm with
+                    | None -> Permission.empty_bag
+                    | Some _ ->
+                        Permission.join_slots
+                          (Array.map (fun s -> s.s_bag) slots)
+                          ~off:0 ~len:(Array.length slots));
                 }
                 ready
         end)
@@ -435,11 +440,9 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
     fire_log := (f.f_node, f.f_ctx, depth, f.f_pred) :: !fire_log;
     (* certificate: join the consumed bags and assert the cover
        requirement before the operator's effect *)
-    let held =
-      match perm with
-      | Some p -> fst (Permission.on_fire p ~node:f.f_node ~ctx:f.f_ctx f.f_bags)
-      | None -> Permission.empty_bag
-    in
+    (match perm with
+    | Some p -> Permission.on_fire p ~node:f.f_node ~ctx:f.f_ctx f.f_held
+    | None -> ());
     (* the shared firing rule, instantiated with (depth, log index)
        provenance so tokens carry the dynamic critical path.  Emissions
        are buffered so the held permission can be split over the actual
@@ -457,32 +460,29 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
       ~on_complete:(fun () -> completed := true)
       ~double_write:(fun msg -> abort (Diagnosis.Double_write msg))
       ~node:f.f_node ~ctx:f.f_ctx ~inputs:f.f_inputs;
-    (* one entry per prospective delivery, in emission then arc order;
-       only the firing node's own arcs carry its permission (deferred
-       I-structure wakeups emit from the reader's node and carry none) *)
-    let flat =
-      List.concat_map
-        (fun ((node, port, _, _, _, _) as em) ->
-          List.map (fun a -> (em, a)) (Dfg.Graph.outgoing g node port))
-        (List.rev !buffered)
-    in
-    let bags =
+    let emissions = List.rev !buffered in
+    (* split the held permission over the firing node's own emitted
+       ports (deferred I-structure wakeups emit from the reader's node
+       and carry none), then deliver in emission then arc order *)
+    let routed =
       match perm with
-      | None -> Array.make (List.length flat) Permission.empty_bag
+      | None -> fun ~node:_ ~port:_ _ -> Permission.empty_bag
       | Some p ->
-          let labels =
-            Array.of_list
-              (List.map
-                 (fun ((node, _, _, _, _, _), a) ->
-                   if node = f.f_node then a.Dfg.Graph.tokens else [])
-                 flat)
-          in
-          fst (Permission.split p ~node:f.f_node ~held labels)
+          List.iter
+            (fun (node, port, _, _, _, _) ->
+              if node = f.f_node then Permission.emitted p ~port)
+            emissions;
+          Permission.route p ~node:f.f_node ~held:f.f_held;
+          Permission.routed p
     in
-    List.iteri
-      (fun i ((_, _, ctx, d, s, v), a) ->
-        emit_arc t_done a ctx v ~depth:d ~src:s ~bag:bags.(i))
-      flat
+    List.iter
+      (fun (node, port, ctx, d, s, v) ->
+        List.iteri
+          (fun i a ->
+            emit_arc t_done a ctx v ~depth:d ~src:s
+              ~bag:(routed ~node ~port i))
+          (Dfg.Graph.outgoing g node port))
+      emissions
   in
   (* Deferred-read wakeups performed inside [execute] bypass [deliver]'s
      collision checks by emitting from the load's own output ports --
@@ -496,8 +496,10 @@ let run_report ?(config = Config.default) ?(faults : Fault.plan option)
       f_in_depth = 0;
       f_pred = -1;
       (* Start mints the full permission of every cover element *)
-      f_bags =
-        (match perm with Some p -> [ Permission.mint p ] | None -> []);
+      f_held =
+        (match perm with
+        | Some p -> Permission.mint p
+        | None -> Permission.empty_bag);
     }
     ready;
   (* LIFO policy: enabled firings are moved onto a stack every cycle, so

@@ -54,7 +54,7 @@ type firing = {
   x_node : int;
   x_ctx : Context.t;
   x_inputs : Imp.Value.t array;
-  x_bags : Permission.bag list;  (** permission bags of the consumed tokens *)
+  x_held : Permission.bag;  (** join of the consumed tokens' permission bags *)
 }
 
 exception Abort of Diagnosis.t
@@ -305,7 +305,7 @@ let run ?(config = Config.default) ?(net = Network.default)
             x_node = d.m_node;
             x_ctx = d.m_ctx;
             x_inputs = [| d.m_value |];
-            x_bags = [ d.m_bag ];
+            x_held = d.m_bag;
           }
           ready.(pe);
         Pe_set.add active pe
@@ -334,7 +334,12 @@ let run ?(config = Config.default) ?(net = Network.default)
                 x_node = d.m_node;
                 x_ctx = d.m_ctx;
                 x_inputs = Array.map fst slots;
-                x_bags = Array.to_list (Array.map snd slots);
+                x_held =
+                  (match perm with
+                  | None -> Permission.empty_bag
+                  | Some _ ->
+                      Permission.join_slots (Array.map snd slots) ~off:0
+                        ~len:(Array.length slots));
               }
               ready.(pe);
             Pe_set.add active pe)
@@ -373,20 +378,18 @@ let run ?(config = Config.default) ?(net = Network.default)
     (* certificate: join the consumed bags and assert the cover
        requirement; a violation rolls back like a sanitizer hit when an
        epoch is available, otherwise the run stops with the report *)
-    let held =
-      match perm with
-      | Some p -> (
-          match Permission.on_fire p ~node:f.x_node ~ctx:f.x_ctx f.x_bags with
-          | held, [] -> held
-          | _, v :: _ ->
-              if can_roll_back () then begin
-                incr san_rollbacks;
-                raise Rollback
-              end
-              else
-                abort (Diagnosis.Corrupted (Permission.violation_to_string v)))
-      | None -> Permission.empty_bag
-    in
+    (match perm with
+    | Some p -> (
+        Permission.on_fire p ~node:f.x_node ~ctx:f.x_ctx f.x_held;
+        match Permission.fresh p with
+        | [] -> ()
+        | v :: _ ->
+            if can_roll_back () then begin
+              incr san_rollbacks;
+              raise Rollback
+            end
+            else abort (Diagnosis.Corrupted (Permission.violation_to_string v)))
+    | None -> ());
     let lat = Config.latency config kind in
     (* Interleaved memory: an access whose owning module hangs off a
        different PE pays the request/response round trip — but only on
@@ -430,30 +433,23 @@ let run ?(config = Config.default) ?(net = Network.default)
       ~on_complete:(fun () -> completed := true)
       ~double_write:(fun msg -> abort (Diagnosis.Double_write msg))
       ~node:f.x_node ~ctx:f.x_ctx ~inputs:f.x_inputs;
-    (* one entry per prospective delivery, in emission then arc order;
-       only the firing node's own arcs carry its permission (deferred
-       I-structure wakeups emit from the reader's node and carry none) *)
-    let flat =
-      List.concat_map
-        (fun ((node, port, _, _) as em) ->
-          List.map (fun a -> (em, a)) (Dfg.Graph.outgoing g node port))
-        (List.rev !buffered)
-    in
-    let bags =
+    let emissions = List.rev !buffered in
+    (* split the held permission over the firing node's own emitted
+       ports (deferred I-structure wakeups emit from the reader's node
+       and carry none), then deliver in emission then arc order *)
+    let routed =
       match perm with
-      | None -> Array.make (List.length flat) Permission.empty_bag
+      | None -> fun ~node:_ ~port:_ _ -> Permission.empty_bag
       | Some p ->
-          let labels =
-            Array.of_list
-              (List.map
-                 (fun ((node, _, _, _), a) ->
-                   if node = f.x_node then a.Dfg.Graph.tokens else [])
-                 flat)
-          in
-          fst (Permission.split p ~node:f.x_node ~held labels)
+          List.iter
+            (fun (node, port, _, _) ->
+              if node = f.x_node then Permission.emitted p ~port)
+            emissions;
+          Permission.route p ~node:f.x_node ~held:f.x_held;
+          Permission.routed p
     in
-    List.iteri
-      (fun i ((node, port, ctx, v), (a : Dfg.Graph.arc)) ->
+    List.iter
+      (fun (node, port, ctx, v) ->
         (* emissions route from the PE of the emitting node: a deferred
            I-structure read completed by a remote store answers from the
            parked load's PE, not the store's.  The firing node's own
@@ -466,22 +462,26 @@ let run ?(config = Config.default) ?(net = Network.default)
         let src_pe =
           if node = f.x_node then pe else (!place).Placement.assign.(node)
         in
-        let dstn = a.Dfg.Graph.dst.Dfg.Graph.node in
-        let d =
-          {
-            m_node = dstn;
-            m_port = a.Dfg.Graph.dst.Dfg.Graph.index;
-            m_ctx = ctx;
-            m_value = v;
-            m_bag = bags.(i);
-          }
-        in
-        if (!place).Placement.assign.(dstn) = src_pe then begin
-          incr local_deliveries;
-          schedule_local t_done d
-        end
-        else schedule_inject t_done src_pe (!place).Placement.assign.(dstn) d)
-      flat
+        List.iteri
+          (fun i (a : Dfg.Graph.arc) ->
+            let dstn = a.Dfg.Graph.dst.Dfg.Graph.node in
+            let d =
+              {
+                m_node = dstn;
+                m_port = a.Dfg.Graph.dst.Dfg.Graph.index;
+                m_ctx = ctx;
+                m_value = v;
+                m_bag = routed ~node ~port i;
+              }
+            in
+            if (!place).Placement.assign.(dstn) = src_pe then begin
+              incr local_deliveries;
+              schedule_local t_done d
+            end
+            else
+              schedule_inject t_done src_pe (!place).Placement.assign.(dstn) d)
+          (Dfg.Graph.outgoing g node port))
+      emissions
   in
   (* --- checkpoint / restore ------------------------------------------- *)
   let take_snapshot () : snapshot =
@@ -603,7 +603,10 @@ let run ?(config = Config.default) ?(net = Network.default)
       x_node = g.Dfg.Graph.start;
       x_ctx = Context.toplevel;
       x_inputs = [||];
-      x_bags = (match perm with Some p -> [ Permission.mint p ] | None -> []);
+      x_held =
+        (match perm with
+        | Some p -> Permission.mint p
+        | None -> Permission.empty_bag);
     }
     ready.((!place).Placement.assign.(g.Dfg.Graph.start));
   Pe_set.add active (!place).Placement.assign.(g.Dfg.Graph.start);

@@ -112,7 +112,6 @@ type code = {
   dst_node : int array;
   dst_port : int array;
   dst_dummy : bool array;
-  dst_tokens : int list array;
   start : int;
   (* recycled activation frames, shared across runs of this code (the
      engine is single-threaded); a frame's generation stamp makes any
@@ -170,7 +169,6 @@ let compile_graph (g : Dfg.Graph.t) : code =
   let dst_node = Array.make (max 1 !total) 0 in
   let dst_port = Array.make (max 1 !total) 0 in
   let dst_dummy = Array.make (max 1 !total) false in
-  let dst_tokens = Array.make (max 1 !total) [] in
   for v = 0 to n - 1 do
     for p = 0 to out_ar.(v) - 1 do
       List.iteri
@@ -178,8 +176,7 @@ let compile_graph (g : Dfg.Graph.t) : code =
           let j = dest_base.(port_base.(v) + p) + i in
           dst_node.(j) <- a.Dfg.Graph.dst.Dfg.Graph.node;
           dst_port.(j) <- a.Dfg.Graph.dst.Dfg.Graph.index;
-          dst_dummy.(j) <- a.Dfg.Graph.dummy;
-          dst_tokens.(j) <- a.Dfg.Graph.tokens)
+          dst_dummy.(j) <- a.Dfg.Graph.dummy)
         (Dfg.Graph.outgoing g v p)
     done
   done;
@@ -198,7 +195,6 @@ let compile_graph (g : Dfg.Graph.t) : code =
     dst_node;
     dst_port;
     dst_dummy;
-    dst_tokens;
     start = g.Dfg.Graph.start;
     pool = [];
   }
@@ -259,7 +255,10 @@ let bucket_push (b : bucket) node port cid ctx v bag =
   b.b_cid.!(k) <- cid;
   b.b_ctx.!(k) <- ctx;
   b.b_val.!(k) <- v;
-  b.b_bag.!(k) <- bag;
+  (* every store of a heap value into these long-lived arrays is a
+     write barrier; an uncertified run's bags are all [[]], so skip the
+     store when the slot already holds the same bag *)
+  if b.b_bag.!(k) != bag then b.b_bag.!(k) <- bag;
   b.b_len <- k + 1
 
 type firing = {
@@ -267,7 +266,8 @@ type firing = {
   fr_cid : int;
   fr_ctx : Context.t;
   fr_inputs : Imp.Value.t array;
-  fr_bags : Permission.bag list;  (** [[]] on uncertified runs *)
+  fr_held : Permission.bag;
+      (** join of the consumed permission bags; [[]] on uncertified runs *)
 }
 
 type result = {
@@ -325,6 +325,9 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   let ctx_of_id = ref (Array.make 64 Context.toplevel) in
   let frames = ref (Array.make 64 nil_frame) in
   let nctx = ref 0 in
+  let enter_of = ref (Array.make 64 (-1)) in
+  let next_of = ref (Array.make 64 (-1)) in
+  let leave_of = ref (Array.make 64 (-1)) in
   (* frame pool handed across runs of this code *)
   let free : frame list ref = ref c.pool in
   c.pool <- [];
@@ -339,16 +342,32 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         let i = !nctx in
         incr nctx;
         if i >= Array.length !ctx_of_id then begin
-          let a = Array.make (2 * i) Context.toplevel in
-          Array.blit !ctx_of_id 0 a 0 i;
-          ctx_of_id := a;
-          let b = Array.make (2 * i) nil_frame in
-          Array.blit !frames 0 b 0 i;
-          frames := b
+          let grow r zero =
+            let a = Array.make (2 * i) zero in
+            Array.blit !r 0 a 0 i;
+            r := a
+          in
+          grow ctx_of_id Context.toplevel;
+          grow frames nil_frame;
+          grow enter_of (-1);
+          grow next_of (-1);
+          grow leave_of (-1)
         end;
         !ctx_of_id.(i) <- ctx;
         Hashtbl.add ctx_ids ctx i;
         i
+  in
+  (* a gateway's context transition, memoised per context id: every
+     gateway of one iteration maps its context to the same successor, so
+     only the first of them builds and interns the new context *)
+  let transition memo cid step =
+    let k = !memo.!(cid) in
+    if k >= 0 then k
+    else begin
+      let k = intern (step !ctx_of_id.(cid)) in
+      !memo.(cid) <- k;
+      k
+    end
   in
   let fresh_frame () =
     {
@@ -515,17 +534,54 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     if !pending > !peak_in_flight then peak_in_flight := !pending;
     bucket_push wheel.(at land mask) node port cid ctx v bag
   in
+  (* Emission capture for firings that carry permission: the emissions
+     land in these preallocated buffers instead of the wheel, so the
+     held bag can be routed over the emitted ports before any delivery
+     is scheduled (in emission then arc order, as the reference engine
+     delivers them). *)
+  let capturing = ref false in
+  let ncap = ref 0 in
+  let cap_node = ref (Array.make 16 0) in
+  let cap_port = ref (Array.make 16 0) in
+  let cap_cid = ref (Array.make 16 0) in
+  let cap_ctx = ref (Array.make 16 Context.toplevel) in
+  let cap_val = ref (Array.make 16 dummy_value) in
+  let capture node port cid ctx v =
+    let k = !ncap in
+    if k = Array.length !cap_node then begin
+      let grow a zero =
+        let b = Array.make (2 * k) zero in
+        Array.blit !a 0 b 0 k;
+        a := b
+      in
+      grow cap_node 0;
+      grow cap_port 0;
+      grow cap_cid 0;
+      grow cap_ctx Context.toplevel;
+      grow cap_val dummy_value
+    end;
+    !cap_node.!(k) <- node;
+    !cap_port.!(k) <- port;
+    !cap_cid.!(k) <- cid;
+    !cap_ctx.!(k) <- ctx;
+    !cap_val.!(k) <- v;
+    ncap := k + 1
+  in
   (* deliver the value emitted at (node, port) to every destination of
      that port *)
-  let emit_port ~t_done node port cid ctx v bag =
-    let pb = c.port_base.!(node) + port in
-    let base = c.dest_base.!(pb) in
-    let stop = c.dest_base.!(pb + 1) in
-    for j = base to stop - 1 do
-      if c.dst_dummy.!(j) then incr dummy_deliveries
-      else incr value_deliveries;
-      schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v bag
-    done
+  let emit_port ~t_done node port cid ctx v =
+    if !capturing then capture node port cid ctx v
+    else begin
+      let pb = c.port_base.!(node) + port in
+      let base = c.dest_base.!(pb) in
+      let stop = c.dest_base.!(pb + 1) in
+      for j = base to stop - 1 do
+        if c.dst_dummy.!(j) then incr dummy_deliveries
+        else incr value_deliveries;
+        schedule t_done c.dst_node.!(j) c.dst_port.!(j) cid ctx v
+          Permission.empty_bag
+      done
+    end
   in
   (* --- waiting-matching in frames ---------------------------------- *)
   let enqueue_fire (fr : firing) = Queue.add fr ready in
@@ -549,90 +605,43 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       end
     end
   in
+  (* the consumed bags are joined in place (the pad carries none); the
+     held bag rides out in [gathered] so the hot path builds no tuple *)
+  let gathered = ref Permission.empty_bag in
   let gather cid (f : frame) node p0 count ~extra_pad =
     let base = c.frame_off.!(node) + p0 in
     let inputs = take_inputs (count + if extra_pad then 1 else 0) in
     Array.blit f.f_vals base inputs 0 count;
     if extra_pad then inputs.(count) <- dummy_value;
-    let bags =
-      match perm with
-      | None -> []
-      | Some _ ->
-          let rec take i acc =
-            if i < 0 then acc
-            else
-              take (i - 1)
-                ((if i < count then f.f_bags.(base + i)
-                  else Permission.empty_bag)
-                :: acc)
-          in
-          take (count - 1 + if extra_pad then 1 else 0) []
-    in
+    (match perm with
+    | None -> ()
+    | Some _ -> gathered := Permission.join_slots f.f_bags ~off:base ~len:count);
+    (* consumed slots keep their stale value and bag (the presence stamp
+       hides them, the next token overwrites them): clearing would cost
+       two write barriers per input to free a few words *)
     for i = 0 to count - 1 do
-      f.f_stamp.!(base + i) <- 0;
-      (* release the value and bag so the frame pool does not retain
-         dead heap structure across contexts *)
-      f.f_vals.!(base + i) <- dummy_value;
-      f.f_bags.!(base + i) <- Permission.empty_bag
+      f.f_stamp.!(base + i) <- 0
     done;
     f.f_occ <- f.f_occ - count;
     if f.f_occ = 0 then release cid f;
-    (inputs, bags)
+    inputs
   in
   (* --- firing execution -------------------------------------------- *)
   let on_complete () = completed := true in
   let double_write msg = abort (Diagnosis.Double_write msg) in
-  (* certified path: buffer the emissions so the held permission can be
-     split over the actual deliveries in emission-then-arc order,
-     matching the reference engine's split bit for bit *)
   (* contexts minted by a firing (gateway transitions, deferred
      wakeups) are interned where they first appear; the common case is
      the firing's own context, one physical comparison *)
   let cid_of fcid fctx ctx = if ctx == fctx then fcid else intern ctx in
-  (* one preallocated emit callback for the uncertified {!Firing.execute}
-     fallback: the per-firing coordinates ride in refs, so a memory op
-     allocates no closure *)
+  (* one preallocated emit callback for the {!Firing.execute} fallback:
+     the per-firing coordinates ride in refs, so a memory op allocates no
+     closure *)
   let cur_t_done = ref 0 in
   let cur_cid = ref 0 in
   let cur_ctx = ref Context.toplevel in
   let emit_shared ~node ~port ~ctx ~meta:() v =
     emit_port ~t_done:!cur_t_done node port
-      (cid_of !cur_cid !cur_ctx ctx) ctx v Permission.empty_bag
-  in
-  let ebuf : (int * int * Context.t * Imp.Value.t) list ref = ref [] in
-  let exec_cert pm t_done node fcid fctx inputs fbags =
-    let held = fst (Permission.on_fire pm ~node ~ctx:fctx fbags) in
-    ebuf := [];
-    Firing.execute env
-      ~emit:(fun ~node ~port ~ctx ~meta:() v ->
-        ebuf := (node, port, ctx, v) :: !ebuf)
-      ~meta:() ~meta_max:(fun () () -> ()) ~on_complete ~double_write ~node
-      ~ctx:fctx ~inputs;
-    let emissions = List.rev !ebuf in
-    let labels =
-      List.concat_map
-        (fun (en, ep, _, _) ->
-          let base = c.dest_base.(c.port_base.(en) + ep) in
-          let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
-          List.init (stop - base) (fun j ->
-              if en = node then c.dst_tokens.(base + j) else []))
-        emissions
-      |> Array.of_list
-    in
-    let bags = fst (Permission.split pm ~node ~held labels) in
-    let k = ref 0 in
-    List.iter
-      (fun (en, ep, ectx, ev) ->
-        let base = c.dest_base.(c.port_base.(en) + ep) in
-        let stop = c.dest_base.(c.port_base.(en) + ep + 1) in
-        for j = base to stop - 1 do
-          if c.dst_dummy.(j) then incr dummy_deliveries
-          else incr value_deliveries;
-          schedule t_done c.dst_node.(j) c.dst_port.(j) (cid_of fcid fctx ectx)
-            ectx ev bags.(!k);
-          incr k
-        done)
-      emissions
+      (cid_of !cur_cid !cur_ctx ctx) ctx v
   in
   (* per-node ALU closures, compiled once: [Imp.Value.binop] allocates
      its dispatch closures on every call, which the firing loop cannot
@@ -688,61 +697,56 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     mem_base.!(node) + (((i mod e) + e) mod e)
   in
   let exec_fast t_done node cid ctx inputs =
-    let nobag = Permission.empty_bag in
     let op = c.opcode.!(node) in
     if op = op_binop then
-      emit_port ~t_done node 0 cid ctx
-        (binop_fn.!(node) inputs.(0) inputs.(1))
-        nobag
+      emit_port ~t_done node 0 cid ctx (binop_fn.!(node) inputs.(0) inputs.(1))
     else if op = op_const then
       match c.kinds.(node) with
-      | Dfg.Node.Const v -> emit_port ~t_done node 0 cid ctx v nobag
+      | Dfg.Node.Const v -> emit_port ~t_done node 0 cid ctx v
       | _ -> assert false
     else if op = op_id || op = op_merge then
-      emit_port ~t_done node 0 cid ctx inputs.(0) nobag
+      emit_port ~t_done node 0 cid ctx inputs.(0)
     else if op = op_switch then begin
       if Imp.Value.to_bool inputs.(1) then
-        emit_port ~t_done node 0 cid ctx inputs.(0) nobag
-      else emit_port ~t_done node 1 cid ctx inputs.(0) nobag
+        emit_port ~t_done node 0 cid ctx inputs.(0)
+      else emit_port ~t_done node 1 cid ctx inputs.(0)
     end
     else if op = op_synch then
-      emit_port ~t_done node 0 cid ctx dummy_value nobag
+      emit_port ~t_done node 0 cid ctx dummy_value
     else if op = op_unop then
       match c.kinds.(node) with
       | Dfg.Node.Unop uop ->
-          emit_port ~t_done node 0 cid ctx
-            (Imp.Value.unop uop inputs.(0))
-            nobag
+          emit_port ~t_done node 0 cid ctx (Imp.Value.unop uop inputs.(0))
       | _ -> assert false
     else if op = op_sink then ()
     else if op = op_load && mem_plain.!(node) then begin
       let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(1) else 0 in
       emit_port ~t_done node 0 cid ctx
-        (Imp.Value.Int (Imp.Memory.read_addr env.Firing.memory (mem_addr node i)))
-        nobag;
-      emit_port ~t_done node 1 cid ctx dummy_value nobag
+        (Imp.Value.Int (Imp.Memory.read_addr env.Firing.memory (mem_addr node i)));
+      emit_port ~t_done node 1 cid ctx dummy_value
     end
     else if op = op_store && mem_plain.!(node) then begin
       let i = if mem_indexed.!(node) then Imp.Value.to_int inputs.(2) else 0 in
       Imp.Memory.write_addr env.Firing.memory (mem_addr node i)
         (Imp.Value.to_int inputs.(1));
-      emit_port ~t_done node 0 cid ctx dummy_value nobag
+      emit_port ~t_done node 0 cid ctx dummy_value
     end
     else if op = op_loop_entry then begin
       let a = c.loop_ar.(node) in
-      let ctx' =
-        if Array.length inputs = a then Context.enter ctx else Context.next ctx
+      let cid' =
+        if Array.length inputs = a then transition enter_of cid Context.enter
+        else transition next_of cid Context.next
       in
-      let cid' = intern ctx' in
+      let ctx' = !ctx_of_id.!(cid') in
       for i = 0 to a - 1 do
-        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
+        emit_port ~t_done node i cid' ctx' inputs.(i)
       done
     end
     else if op = op_loop_exit then begin
-      let ctx' = Context.leave ctx in
-      let cid' = intern ctx' in
+      let cid' = transition leave_of cid Context.leave in
+      let ctx' = !ctx_of_id.!(cid') in
       for i = 0 to Array.length inputs - 1 do
-        emit_port ~t_done node i cid' ctx' inputs.(i) nobag
+        emit_port ~t_done node i cid' ctx' inputs.(i)
       done
     end
     else
@@ -760,7 +764,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
   in
   (* per-node latency, resolved once against this run's config *)
   let lat = Array.init c.n (fun v -> Config.latency config c.kinds.(v)) in
-  let count_fire t node ctx group =
+  let count_fire t node cid ctx group =
     incr firings;
     let op = c.opcode.!(node) in
     op_counts.!(op) <- op_counts.!(op) + 1;
@@ -768,50 +772,89 @@ let run_report ?(config = Config.default) ?(sanitize = true)
     (match on_fire with Some cb -> cb t node ctx | None -> ());
     match san with
     | Some s -> (
-        match Sanitize.on_fire s ~node ~ctx ~group with
+        match Sanitize.on_fire_id s ~node ~cid ~ctx ~group with
         | Some v -> violations := v :: !violations
         | None -> ())
     | None -> ()
   in
-  let exec t node cid ctx inputs bags =
-    count_fire t node ctx (Array.length inputs);
+  (* a firing that holds permission: run the operator into the capture
+     buffers, route [held] over the node's own emitted ports, then
+     schedule every captured emission with its arcs' bags *)
+  let exec_routed pm t_done node cid ctx inputs held =
+    ncap := 0;
+    capturing := true;
+    exec_fast t_done node cid ctx inputs;
+    capturing := false;
+    for k = 0 to !ncap - 1 do
+      if !cap_node.!(k) = node then Permission.emitted pm ~port:!cap_port.!(k)
+    done;
+    Permission.route pm ~node ~held;
+    for k = 0 to !ncap - 1 do
+      let en = !cap_node.!(k) and ep = !cap_port.!(k) in
+      let ecid = !cap_cid.!(k) and ectx = !cap_ctx.!(k) in
+      let ev = !cap_val.!(k) in
+      let pb = c.port_base.!(en) + ep in
+      let base = c.dest_base.!(pb) in
+      for j = base to c.dest_base.!(pb + 1) - 1 do
+        if c.dst_dummy.!(j) then incr dummy_deliveries
+        else incr value_deliveries;
+        schedule t_done c.dst_node.!(j) c.dst_port.!(j) ecid ectx ev
+          (Permission.routed pm ~node:en ~port:ep (j - base))
+      done
+    done
+  in
+  let exec t node cid ctx inputs held =
+    count_fire t node cid ctx (Array.length inputs);
     let t_done = t + lat.!(node) in
     if t_done > !last_cycle then last_cycle := t_done;
     match perm with
-    | Some pm -> exec_cert pm t_done node cid ctx inputs bags
     | None -> exec_fast t_done node cid ctx inputs
+    | Some pm -> (
+        Permission.on_fire pm ~node ~ctx held;
+        (* no permission consumed, none to route: every delivery
+           carries the empty bag *)
+        match held with
+        | [] -> exec_fast t_done node cid ctx inputs
+        | _ -> exec_routed pm t_done node cid ctx inputs held)
   in
   (* monadic fast path: merges and single-input operators fire straight
      from the delivery; the routing opcodes skip the input array *)
   let exec1 t node cid ctx v bag =
-    match perm with
-    | Some _ -> exec t node cid ctx [| v |] [ bag ]
-    | None ->
-        count_fire t node ctx 1;
+    match bag with
+    | _ :: _ ->
+        let inputs = take_inputs 1 in
+        inputs.(0) <- v;
+        exec t node cid ctx inputs bag
+    | [] ->
+        count_fire t node cid ctx 1;
+        (match perm with
+        | Some pm -> Permission.on_fire pm ~node ~ctx bag
+        | None -> ());
         let t_done = t + lat.!(node) in
         if t_done > !last_cycle then last_cycle := t_done;
         let op = c.opcode.!(node) in
-        if op = op_id || op = op_merge then
-          emit_port ~t_done node 0 cid ctx v Permission.empty_bag
+        if op = op_id || op = op_merge then emit_port ~t_done node 0 cid ctx v
         else if op = op_unop then
           match c.kinds.(node) with
           | Dfg.Node.Unop uop ->
-              emit_port ~t_done node 0 cid ctx
-                (Imp.Value.unop uop v) Permission.empty_bag
+              emit_port ~t_done node 0 cid ctx (Imp.Value.unop uop v)
           | _ -> assert false
         else if op = op_synch then
           emit_port ~t_done node 0 cid ctx dummy_value
-            Permission.empty_bag
         else if op = op_sink then ()
-        else exec_fast t_done node cid ctx [| v |]
+        else begin
+          let inputs = take_inputs 1 in
+          inputs.(0) <- v;
+          exec_fast t_done node cid ctx inputs
+        end
   in
   (* direct mode: with one unbounded PE, no memory-port limit and FIFO
      scheduling, every enabled firing issues in the cycle it matched, so
      the ready queue is an identity step — execute straight from the
      delivery instead (all latencies >= 1, so emissions never land back
      in the bucket being drained) *)
-  let fire t node cid ctx inputs bags =
-    if direct then exec t node cid ctx inputs bags
+  let fire t node cid ctx inputs =
+    if direct then exec t node cid ctx inputs !gathered
     else
       enqueue_fire
         {
@@ -819,7 +862,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           fr_cid = cid;
           fr_ctx = ctx;
           fr_inputs = inputs;
-          fr_bags = bags;
+          fr_held = !gathered;
         }
   in
   (* --- token delivery and waiting-matching -------------------------- *)
@@ -842,7 +885,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
             fr_cid = cid;
             fr_ctx = ctx;
             fr_inputs = [| v |];
-            fr_bags = (match perm with None -> [] | Some _ -> [ bag ]);
+            fr_held = bag;
           }
     end
     else begin
@@ -880,12 +923,12 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           (* undetected: the late token overwrites the slot, exactly the
              Figure 8 pile-up the sanitizer then reports as Double_fire *)
           f.f_vals.!(slot) <- v;
-          f.f_bags.!(slot) <- bag
+          if f.f_bags.!(slot) != bag then f.f_bags.!(slot) <- bag
         end
         else begin
           f.f_stamp.!(slot) <- f.f_gen;
           f.f_vals.!(slot) <- v;
-          f.f_bags.!(slot) <- bag;
+          if f.f_bags.!(slot) != bag then f.f_bags.!(slot) <- bag;
           f.f_occ <- f.f_occ + 1;
           if f.f_occ = 1 then begin
             incr live;
@@ -900,10 +943,10 @@ let run_report ?(config = Config.default) ?(sanitize = true)
             f.f_need.!(node) <- f.f_need.!(node) - 1;
             if f.f_need.!(node) = 0 then begin
               f.f_nstamp.!(node) <- 0;
-              let inputs, bags =
+              let inputs =
                 gather cid f node 0 c.in_ar.!(node) ~extra_pad:false
               in
-              fire t node cid ctx inputs bags
+              fire t node cid ctx inputs
             end
           end
           else if port < la then begin
@@ -915,8 +958,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
             f.f_need.!(node) <- f.f_need.!(node) - 1;
             if f.f_need.!(node) = 0 then begin
               f.f_nstamp.!(node) <- 0;
-              let inputs, bags = gather cid f node 0 la ~extra_pad:false in
-              fire t node cid ctx inputs bags
+              let inputs = gather cid f node 0 la ~extra_pad:false in
+              fire t node cid ctx inputs
             end
           end
           else begin
@@ -930,8 +973,8 @@ let run_report ?(config = Config.default) ?(sanitize = true)
             f.f_need_back.!(node) <- f.f_need_back.!(node) - 1;
             if f.f_need_back.!(node) = 0 then begin
               f.f_bstamp.!(node) <- 0;
-              let inputs, bags = gather cid f node la la ~extra_pad:true in
-              fire t node cid ctx inputs bags
+              let inputs = gather cid f node la la ~extra_pad:true in
+              fire t node cid ctx inputs
             end
           end
         end
@@ -942,7 +985,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
      otherwise stay empty for the whole run, so the main loop can skip
      the issue machinery entirely *)
   let boot_bags =
-    match perm with Some p -> [ Permission.mint p ] | None -> []
+    match perm with Some p -> Permission.mint p | None -> Permission.empty_bag
   in
   if direct then exec 0 c.start (intern Context.toplevel) Context.toplevel
       [||] boot_bags
@@ -953,7 +996,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
         fr_cid = intern Context.toplevel;
         fr_ctx = Context.toplevel;
         fr_inputs = [||];
-        fr_bags = boot_bags;
+        fr_held = boot_bags;
       };
   let absorb () =
     match config.Config.policy with
@@ -993,11 +1036,9 @@ let run_report ?(config = Config.default) ?(sanitize = true)
       for i = 0 to count - 1 do
         decr pending;
         deliver !t b.b_node.!(i) b.b_port.!(i) b.b_cid.!(i) b.b_ctx.!(i)
-          b.b_val.!(i) b.b_bag.!(i);
-        (* release the heap references held by the drained slots *)
-        b.b_ctx.!(i) <- Context.toplevel;
-        b.b_val.!(i) <- dummy_value;
-        b.b_bag.!(i) <- Permission.empty_bag
+          b.b_val.!(i) b.b_bag.!(i)
+        (* drained slots keep their references until the bucket refills:
+           a few words held, three write barriers a delivery saved *)
       done;
       (* 2. issue enabled firings (in direct mode completed matches
          already executed during delivery and the queue is empty) *)
@@ -1020,7 +1061,7 @@ let run_report ?(config = Config.default) ?(sanitize = true)
           in
           if port_free then begin
             if c.is_mem.(f.fr_node) then incr mem_issued;
-            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_bags;
+            exec !t f.fr_node f.fr_cid f.fr_ctx f.fr_inputs f.fr_held;
             progressed := true;
             incr started
           end

@@ -31,8 +31,24 @@ module Frac = struct
   let is_zero f = f.num = 0
   let is_one f = f.num = 1 && f.den = 1
   let positive f = f.num > 0
-  let add a b = mk ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
-  let div_int a k = mk a.num (a.den * k)
+  (* shared reciprocals: splitting a whole element [k] ways is the
+     common fan-out and allocates nothing *)
+  let recip = Array.init 65 (fun k -> if k = 0 then zero else mk 1 k)
+
+  let add a b =
+    if a.num = 0 then b
+    else if b.num = 0 then a
+    else if a.den = b.den then begin
+      let s = a.num + b.num in
+      if s = a.den then one else mk s a.den
+    end
+    else mk ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+
+  let div_int a k =
+    if k = 1 then a
+    else if a.den = 1 && a.num = 1 && k > 1 && k < Array.length recip then
+      recip.(k)
+    else mk a.num (a.den * k)
 
   (* a > 1? *)
   let gt_one a = a.num > a.den
@@ -66,8 +82,19 @@ let join (a : bag) (b : bag) : bag =
 
 let join_all (bags : bag list) : bag = List.fold_left join empty_bag bags
 
-let find (b : bag) (e : int) : frac =
-  match List.assoc_opt e b with Some f -> f | None -> Frac.zero
+let join_slots (bags : bag array) ~off ~len : bag =
+  try
+    let acc = ref empty_bag in
+    for i = off to off + len - 1 do
+      acc := join !acc bags.(i)
+    done;
+    !acc
+  with Frac.Overflow -> empty_bag
+
+let rec find (b : bag) (e : int) : frac =
+  match b with
+  | [] -> Frac.zero
+  | (e', f) :: rest -> if e' = e then f else find rest e
 
 let bag_to_string (names : string array) (b : bag) : string =
   if b = [] then "{}"
@@ -107,122 +134,227 @@ let pp_violation ppf v = Fmt.string ppf (violation_to_string v)
 type t = {
   graph : Dfg.Graph.t;
   cert : Dfg.Graph.cert;
+  (* the routing scratch: the ports {!emitted} recorded, and after
+     {!route} the bag of every delivered arc, port by port ([base.(k)] is
+     the first slot of [ports.(k)]'s arcs in [out]) *)
+  mutable ports : int array;
+  mutable nports : int;
+  mutable routed_ports : int;
+  mutable base : int array;
+  mutable out : bag array;
+  mutable routed_node : int;  (** -1 when the last route carried nothing *)
+  takers : int array;  (** per element: labelled arcs of the last route *)
+  shares : frac array;  (** per element: its per-arc share *)
   mutable retired : frac array;  (** per element, accumulated at End *)
   mutable violations : violation list;  (** reverse order *)
+  mutable fresh : violation list;  (** raised by the last call *)
   mutable checks : int;  (** memory-op ownership assertions performed *)
 }
 
 let create (graph : Dfg.Graph.t) (cert : Dfg.Graph.cert) : t =
+  let elements = Array.length cert.Dfg.Graph.cert_elements in
   {
     graph;
     cert;
-    retired = Array.make (Array.length cert.Dfg.Graph.cert_elements) Frac.zero;
+    ports = Array.make 8 0;
+    nports = 0;
+    routed_ports = 0;
+    base = Array.make 8 0;
+    out = Array.make 16 empty_bag;
+    routed_node = -1;
+    takers = Array.make elements 0;
+    shares = Array.make elements Frac.zero;
+    retired = Array.make elements Frac.zero;
     violations = [];
+    fresh = [];
     checks = 0;
   }
 
 let elements (t : t) = Array.length t.cert.Dfg.Graph.cert_elements
 let checks (t : t) = t.checks
 let violations (t : t) = List.rev t.violations
+let fresh (t : t) = t.fresh
 let record (t : t) (v : violation) = t.violations <- v :: t.violations
+let label (t : t) node = (Dfg.Graph.node t.graph node).Dfg.Node.label
 
 (** The initial bag: full permission for every element, held by the
     Start firing. *)
 let mint (t : t) : bag =
   List.init (elements t) (fun e -> (e, Frac.one))
 
-(* The ownership assertion of one firing: join the consumed bags and,
-   for memory operations, check the certificate's requirement — a store
-   must own each required element outright, a load must hold a positive
+(* The ownership assertion of one firing: for memory operations, check
+   the certificate's requirement against the joined bag — a store must
+   own each required element outright, a load must hold a positive
    fraction of it (and never more than the whole). *)
-let on_fire (t : t) ~(node : int) ~(ctx : Context.t) (bags : bag list) :
-    bag * violation list =
-  let held = try join_all bags with Frac.Overflow -> [] in
-  let names = t.cert.Dfg.Graph.cert_elements in
-  let fresh = ref [] in
-  (match t.cert.Dfg.Graph.cert_require.(node) with
+let rec assert_owned t ~node ~ctx ~is_store held = function
+  | [] -> ()
+  | e :: rest ->
+      t.checks <- t.checks + 1;
+      let h = find held e in
+      let ok =
+        if is_store then Frac.is_one h
+        else Frac.positive h && not (Frac.gt_one h)
+      in
+      if not ok then
+        t.fresh <-
+          Missing
+            {
+              p_node = node;
+              p_label = label t node;
+              p_ctx = ctx;
+              p_elem = t.cert.Dfg.Graph.cert_elements.(e);
+              p_need = (if is_store then "all" else "a fraction");
+              p_held = Frac.to_string h;
+            }
+          :: t.fresh;
+      assert_owned t ~node ~ctx ~is_store held rest
+
+let on_fire (t : t) ~(node : int) ~(ctx : Context.t) (held : bag) : unit =
+  t.fresh <- [];
+  match t.cert.Dfg.Graph.cert_require.(node) with
   | [] -> ()
   | required ->
-      let label = (Dfg.Graph.node t.graph node).Dfg.Node.label in
       let is_store =
         match Dfg.Graph.kind t.graph node with
         | Dfg.Node.Store _ -> true
         | _ -> false
       in
-      List.iter
-        (fun e ->
-          t.checks <- t.checks + 1;
-          let h = find held e in
-          let ok =
-            if is_store then Frac.is_one h
-            else Frac.positive h && not (Frac.gt_one h)
-          in
-          if not ok then
-            fresh :=
-              Missing
-                {
-                  p_node = node;
-                  p_label = label;
-                  p_ctx = ctx;
-                  p_elem = names.(e);
-                  p_need = (if is_store then "all" else "a fraction");
-                  p_held = Frac.to_string h;
-                }
-              :: !fresh)
-        required);
-  let fresh = List.rev !fresh in
-  List.iter (record t) fresh;
-  (held, fresh)
+      assert_owned t ~node ~ctx ~is_store held required;
+      if t.fresh <> [] then begin
+        t.fresh <- List.rev t.fresh;
+        List.iter (record t) t.fresh
+      end
 
-(* Distribute the firing's held bag over its actual emissions:
-   [labels.(i)] is the token-label set of delivery [i]; each element's
-   fraction splits equally over the deliveries labelled with it.  At
-   [End] the whole bag retires instead.  Any positive fraction with no
-   labelled delivery (and no End) has been destroyed — a Lost
-   violation. *)
-let split (t : t) ~(node : int) ~(held : bag) (labels : int list array) :
-    bag array * violation list =
-  let n = Array.length labels in
-  let out = Array.make n empty_bag in
-  if held = [] then (out, [])
-  else begin
-    let is_end =
-      match Dfg.Graph.kind t.graph node with
-      | Dfg.Node.End _ -> true
-      | _ -> false
+let emitted (t : t) ~(port : int) : unit =
+  let k = t.nports in
+  if k = Array.length t.ports then begin
+    let grow a =
+      let b = Array.make (2 * k) 0 in
+      Array.blit a 0 b 0 k;
+      b
     in
-    let fresh = ref [] in
-    List.iter
-      (fun (e, f) ->
-        let takers = ref 0 in
-        Array.iter (fun ls -> if List.mem e ls then incr takers) labels;
-        if !takers > 0 then begin
-          let share =
-            try Frac.div_int f !takers with Frac.Overflow -> Frac.zero
-          in
-          if not (Frac.is_zero share) then
-            Array.iteri
-              (fun i ls ->
-                if List.mem e ls then out.(i) <- join out.(i) [ (e, share) ])
-              labels
-        end
+    t.ports <- grow t.ports;
+    t.base <- grow t.base
+  end;
+  t.ports.(k) <- port;
+  t.nports <- k + 1
+
+(* The helpers of [route] recurse on their lists instead of iterating
+   closures, so a route allocates only the bags it builds. *)
+let rec clear_takers t = function
+  | [] -> ()
+  | (e, _) :: rest ->
+      t.takers.(e) <- 0;
+      clear_takers t rest
+
+let rec count_labels t = function
+  | [] -> ()
+  | e :: rest ->
+      t.takers.(e) <- t.takers.(e) + 1;
+      count_labels t rest
+
+(* count the takers over [arcs]; the result is [n] plus the arc count *)
+let rec count_arcs t n = function
+  | [] -> n
+  | (a : Dfg.Graph.arc) :: rest ->
+      count_labels t a.Dfg.Graph.tokens;
+      count_arcs t (n + 1) rest
+
+(* per element: its share, retired at End or Lost; [true] when every
+   element goes whole to exactly one arc *)
+let rec settle t ~node ~is_end whole = function
+  | [] -> whole
+  | (e, f) :: rest ->
+      let k = t.takers.(e) in
+      if k = 1 then begin
+        t.shares.(e) <- f;
+        settle t ~node ~is_end whole rest
+      end
+      else begin
+        if k > 1 then
+          t.shares.(e) <- (try Frac.div_int f k with Frac.Overflow -> Frac.zero)
         else if is_end then
-          t.retired.(e) <- (try Frac.add t.retired.(e) f with Frac.Overflow -> t.retired.(e))
+          t.retired.(e) <-
+            (try Frac.add t.retired.(e) f with Frac.Overflow -> t.retired.(e))
         else
-          fresh :=
+          t.fresh <-
             Lost
               {
                 p_node = node;
-                p_label = (Dfg.Graph.node t.graph node).Dfg.Node.label;
+                p_label = label t node;
                 p_elem = t.cert.Dfg.Graph.cert_elements.(e);
                 p_frac = Frac.to_string f;
               }
-            :: !fresh)
-      held;
-    let fresh = List.rev !fresh in
-    List.iter (record t) fresh;
-    (out, fresh)
+            :: t.fresh;
+        settle t ~node ~is_end false rest
+      end
+
+let rec carries ls = function
+  | [] -> true
+  | (e, _) :: rest -> List.mem e ls && carries ls rest
+
+let rec share t ls = function
+  | [] -> []
+  | (e, _) :: rest ->
+      let f = t.shares.(e) in
+      if List.mem e ls && not (Frac.is_zero f) then (e, f) :: share t ls rest
+      else share t ls rest
+
+let rec fill t ~held ~whole j = function
+  | [] -> ()
+  | (a : Dfg.Graph.arc) :: rest ->
+      t.out.(j) <-
+        (match a.Dfg.Graph.tokens with
+        | [] -> empty_bag
+        | ls -> if whole && carries ls held then held else share t ls held);
+      fill t ~held ~whole (j + 1) rest
+
+(* Distribute the firing's held bag over its actual emissions: each
+   element's fraction splits equally over the emitted arcs labelled with
+   it.  At [End] the whole bag retires instead.  Any positive fraction
+   with no labelled arc (and no End) has been destroyed — a Lost
+   violation.  A firing that consumed no permission (a third to a half
+   of all firings) returns at once; when every element goes whole to
+   one arc, that arc carries [held] itself. *)
+let route (t : t) ~(node : int) ~(held : bag) : unit =
+  let nports = t.nports in
+  t.nports <- 0;
+  t.routed_ports <- nports;
+  t.fresh <- [];
+  if held = [] then t.routed_node <- -1
+  else begin
+    t.routed_node <- node;
+    clear_takers t held;
+    let total = ref 0 in
+    for k = 0 to nports - 1 do
+      t.base.(k) <- !total;
+      total := count_arcs t !total (Dfg.Graph.outgoing t.graph node t.ports.(k))
+    done;
+    if !total > Array.length t.out then
+      t.out <- Array.make (2 * !total) empty_bag;
+    let is_end =
+      match Dfg.Graph.kind t.graph node with Dfg.Node.End _ -> true | _ -> false
+    in
+    let whole = settle t ~node ~is_end true held in
+    for k = 0 to nports - 1 do
+      fill t ~held ~whole t.base.(k)
+        (Dfg.Graph.outgoing t.graph node t.ports.(k))
+    done;
+    if t.fresh <> [] then begin
+      t.fresh <- List.rev t.fresh;
+      List.iter (record t) t.fresh
+    end
   end
+
+let routed (t : t) ~(node : int) ~(port : int) (i : int) : bag =
+  if node <> t.routed_node then empty_bag
+  else
+    let rec find k =
+      if k >= t.routed_ports then empty_bag
+      else if t.ports.(k) = port then t.out.(t.base.(k) + i)
+      else find (k + 1)
+    in
+    find 0
 
 (* The global account, checkable only once the machine is quiet: every
    element's permission must have retired in full at End — exactly 1.

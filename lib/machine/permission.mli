@@ -25,7 +25,23 @@
     This subsumes token conservation: the sanitizer counts tokens, the
     certificate tracks {e which right} each token carries.  Certificate
     state snapshots and restores with recovery epochs, so replayed
-    firings re-earn their permissions instead of double-counting. *)
+    firings re-earn their permissions instead of double-counting.
+
+    {b Cost of checking.}  All three engines share one routing
+    decision: an engine joins the consumed bags ({!join_slots}), asserts
+    ownership ({!on_fire}), names the ports the firing emitted on
+    ({!emitted}), routes ({!route}) and reads each arc's bag back
+    ({!routed}).  Routing walks the graph's own per-port arc lists, so
+    {!create} is O(elements) per run and no label list is built per
+    firing.  A firing that consumed no permission (a third to a half of
+    all firings on the loop kernels) routes nothing; an element that
+    goes whole to one arc travels as the held bag itself; splitting a
+    whole element [k] ways uses shared reciprocals.  The clean path of
+    a firing therefore allocates only the bags of a genuine split or
+    join.  Schema 1 is certified like every other schema: its single
+    token carries the one element round every loop trip, and the
+    sanitizer's one-fire-per-context rule, not the certificate, is
+    what Schema 1 switches off. *)
 
 (** Exact rationals (normalized, native ints).  A pathological
     denominator blow-up raises {!Frac.Overflow} internally and is
@@ -54,6 +70,12 @@ type bag = (int * frac) list
 val empty_bag : bag
 val join : bag -> bag -> bag
 val join_all : bag list -> bag
+
+(** [join_slots bags ~off ~len] — a firing's held bag: the join of
+    [bags.(off)] .. [bags.(off + len - 1)] (left to right, as
+    {!join_all}); a denominator overflow yields the empty bag, which the
+    ownership assertions and the quiescence account then report. *)
+val join_slots : bag array -> off:int -> len:int -> bag
 val bag_to_string : string array -> bag -> string
 
 type violation =
@@ -87,19 +109,36 @@ val violations : t -> violation list
 (** The Start firing's bag: full permission for every element. *)
 val mint : t -> bag
 
-(** [on_fire t ~node ~ctx bags] — join the consumed input bags and
-    assert the certificate requirement if [node] is a memory operation.
-    Returns the held bag and any fresh violations (also recorded). *)
-val on_fire :
-  t -> node:int -> ctx:Context.t -> bag list -> bag * violation list
+(** Violations raised by the last {!on_fire} or {!route} call ([[]]
+    almost always; also recorded in {!violations}). *)
+val fresh : t -> violation list
 
-(** [split t ~node ~held labels] — distribute [held] over the firing's
-    actual deliveries: delivery [i] carries [labels.(i)]; each element
-    splits equally over the deliveries labelled with it.  At End the
-    bag retires instead.  Returns per-delivery bags and fresh Lost
-    violations (also recorded). *)
-val split :
-  t -> node:int -> held:bag -> int list array -> bag array * violation list
+(** [on_fire t ~node ~ctx held] — assert the certificate requirement if
+    [node] is a memory operation, against [held] (the join of the
+    consumed bags, see {!join_slots}).  Violations are recorded and
+    left in {!fresh}. *)
+val on_fire : t -> node:int -> ctx:Context.t -> bag -> unit
+
+(** [emitted t ~port] — record that the firing about to be routed
+    emitted on output [port] of its own node (each port at most once per
+    firing, in emission order). *)
+val emitted : t -> port:int -> unit
+
+(** [route t ~node ~held] — distribute [held] over the firing's actual
+    deliveries: every arc of the ports recorded by {!emitted} since the
+    last route is a delivery, and each element splits equally over the
+    delivered arcs labelled with it ({!Dfg.Graph.arc.tokens}).  At End
+    the bag retires instead; a positive fraction with no labelled
+    delivery is a Lost violation (recorded, and left in {!fresh}).
+    Emissions of other nodes in the same firing (deferred I-structure
+    wakeups) carry nothing and are not recorded. *)
+val route : t -> node:int -> held:bag -> unit
+
+(** [routed t ~node ~port i] — after {!route}, the bag riding the [i]-th
+    arc of [port] of [node]; {!empty_bag} for an unlabelled arc, for a
+    node other than the routed one, and after a route of an empty
+    bag. *)
+val routed : t -> node:int -> port:int -> int -> bag
 
 (** The quiescence account: every element retired exactly 1.  Records
     and returns the discrepancies. *)
